@@ -3,13 +3,18 @@
 The public modules remain the source of mathematical truth; this module
 memoizes their answers over whole enumeration families so the labeled
 exhaustive searches (millions of instances) finish in minutes on one
-core.  The test suite cross-validates every digest here against the
-generic route on complete small spaces.
+core.  tests/test_engine_kernels.py compares the engine's digests (face
+closure, clique-complex homology, adjacency and cover filters, min CM_t
+and homology dims) with the generic route on every instance for n <= 5
+and on seeded samples at n = 6 and 7.
 
 Layout:
-  LevelHom     GF(2) homology from per-cardinality face bitmaps; the
-               boundary column of a face is a precomputed bitmask over
-               the subset-index space one level down.
+  LevelHom     GF(2) homology from per-cardinality face bitmaps; face
+               closure, clique levels and boundary columns are table
+               reads (OR-folds and per-chunk column tuples).
+  OrFold       the OR of per-slot contributions over a slot mask, read
+               with one table lookup per 11-slot chunk; every
+               per-instance face-bitmap map here is one.
   LinkTables   (max unclean size, Serre violation) digests for every
                complex whose facets are k-subsets of [m], indexed by
                facet-set mask; built bottom-up through vertex links.
@@ -18,10 +23,12 @@ Layout:
   Codim2Engine per-instance checks for the big theorem runs (pure
                codimension-2 complexes and their dual graphs).
 
-Every engine instance additionally self-checks combinatorial Alexander
-duality (H~_i of the dual against H~_{n-i-3} of the complex) on every
-instance it analyzes; a failure raises EngineError, which the CLI maps
-to the internal-invariant exit code.
+Two checks also verify combinatorial Alexander duality (H~_i of the
+dual against H~_{n-i-3} of the complex) on every instance they analyze:
+``Codim2Engine.topin_clauses`` (through ``ndp_threshold``) and
+``Codim2Engine.main2_clauses``.  A failure raises EngineError, which the
+CLI maps to the internal-invariant exit code.  The other checks do not
+run it.
 """
 
 from __future__ import annotations
@@ -46,46 +53,81 @@ class LevelHom:
     levels[k] lists all k-subsets of {1..n} as masks (sorted); a set of
     k-faces is a bitmap over positions in levels[k].  down[k][j] is the
     boundary column of the j-th k-subset: the bitmap of its (k-1)-subsets.
+    Every per-instance face computation is a table read: boundary columns
+    are gathered from per-level tables of column tuples, one per 8-face
+    chunk, and face closure and clique levels are OR-folds over faces.
+    A fold's value packs one bitmap per level, level j at bit offset[j].
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.levels = [size_subsets(n, k) for k in range(n + 1)]
-        self.index: list[dict[int, int]] = [
-            {m: i for i, m in enumerate(level)} for level in self.levels
-        ]
+        self.levels = levels = [size_subsets(n, k) for k in range(n + 1)]
+        self.full = [(1 << len(level)) - 1 for level in levels]
+        self.offset = [0]
+        for level in levels:
+            self.offset.append(self.offset[-1] + len(level))
         self.down: list[list[int]] = [[]]
+        self.col_chunks: list[list[list[tuple[int, ...]]]] = [[]]
         for k in range(1, n + 1):
-            idx = self.index[k - 1]
-            cols = []
-            for face in self.levels[k]:
-                col = 0
-                m = face
-                while m:
-                    b = m & -m
-                    m ^= b
-                    col |= 1 << idx[face ^ b]
-                cols.append(col)
+            cols = [_subsets_bitmap(levels[k - 1], face) for face in levels[k]]
             self.down.append(cols)
+            self.col_chunks.append([_subset_tuples(cols[c:c + COL_BITS])
+                                    for c in range(0, len(cols), COL_BITS)])
+        # clique_fold(non-edges), level k >= 3: the k-sets containing a non-edge
+        self.clique_fold = OrFold([self._pack(_supersets_bitmap, p, range(3, n + 1))
+                                   for p in (levels[2] if n >= 2 else [])])
+        # closure_folds[k](k-faces), level j < k: their j-subsets; built per k
+        self._closure_folds: list[OrFold | None] = [None] * (n + 1)
 
-    def close_down(self, k: int, bitmap: int) -> int:
-        """Bitmap of all (k-1)-subsets of the faces in ``bitmap``."""
-        down = self.down[k]
-        out = 0
-        m = bitmap
-        while m:
-            b = m & -m
-            m ^= b
-            out |= down[b.bit_length() - 1]
-        return out
+    def _pack(self, bitmap_fn, face: int, ks) -> int:
+        levels, offset = self.levels, self.offset
+        return sum(bitmap_fn(levels[k], face) << offset[k] for k in ks)
+
+    def closure_fold(self, k: int) -> OrFold:
+        """The fold from k-face bitmaps to all lower levels (built once)."""
+        fold = self._closure_folds[k]
+        if fold is None:
+            fold = self._closure_folds[k] = OrFold(
+                [self._pack(_subsets_bitmap, face, range(k)) for face in self.levels[k]])
+        return fold
 
     def closure(self, k: int, top_bitmap: int) -> list[int]:
         """Per-level face bitmaps of the pure complex on the flagged k-subsets."""
-        masks = [0] * (k + 1)
-        masks[k] = top_bitmap
-        for lv in range(k, 0, -1):
-            masks[lv - 1] = self.close_down(lv, masks[lv])
+        packed = self.closure_fold(k).value(top_bitmap)
+        offset, full = self.offset, self.full
+        masks = [packed >> offset[j] & full[j] for j in range(k)]
+        masks.append(top_bitmap)
         return masks
+
+    def clique_levels(self, gmask: int) -> list[int]:
+        """Per-level face bitmaps of the clique complex of the graph whose
+        edges are flagged in ``gmask`` (a bitmap over levels[2]).
+
+        A k-set is a clique iff it contains no non-edge; the levels stop
+        at the first empty one, since no larger clique can exist past it.
+        """
+        n = self.n
+        masks = [1, self.full[1], gmask][:n + 1]
+        if n < 3 or not gmask:
+            return masks
+        containing = self.clique_fold.value(self.full[2] ^ gmask)
+        offset, full = self.offset, self.full
+        for k in range(3, n + 1):
+            m = full[k] & ~(containing >> offset[k])
+            if not m:
+                break
+            masks.append(m)
+        return masks
+
+    def boundary_columns(self, k: int, bitmap: int) -> tuple[int, ...]:
+        """Boundary columns of the k-faces flagged in ``bitmap``."""
+        cols: tuple[int, ...] = ()
+        for table in self.col_chunks[k]:
+            if not bitmap:
+                break
+            cols += table[bitmap & COL_MASK]
+            bitmap >>= COL_BITS
+        return cols
 
     def dims_pure(self, k: int, top_bitmap: int) -> tuple[int, ...]:
         """Reduced homology dims (from degree -1) of the pure complex
@@ -100,16 +142,38 @@ class LevelHom:
             top -= 1
         counts = [masks[lv].bit_count() for lv in range(top + 1)]
         ranks = [0] * (top + 2)
-        for lv in range(1, top + 1):
-            down = self.down[lv]
-            cols = []
-            m = masks[lv]
-            while m:
-                b = m & -m
-                m ^= b
-                cols.append(down[b.bit_length() - 1])
-            ranks[lv] = rank_gf2_columns(cols)
+        if top:
+            ranks[1] = 1  # every vertex bounds the empty face
+        columns = self.boundary_columns
+        for lv in range(2, top + 1):
+            ranks[lv] = rank_gf2_columns(columns(lv, masks[lv]))
         return tuple(counts[lv] - ranks[lv] - ranks[lv + 1] for lv in range(top + 1))
+
+
+def _subsets_bitmap(level: list[int], face: int) -> int:
+    """Bitmap over ``level`` of the sets contained in ``face``."""
+    bm = 0
+    for i, mu in enumerate(level):
+        if mu & face == mu:
+            bm |= 1 << i
+    return bm
+
+
+def _supersets_bitmap(level: list[int], face: int) -> int:
+    """Bitmap over ``level`` of the sets containing ``face``."""
+    bm = 0
+    for i, mu in enumerate(level):
+        if mu & face == face:
+            bm |= 1 << i
+    return bm
+
+
+def _subset_tuples(items: list[int]) -> list[tuple[int, ...]]:
+    """table[s] = the items at the set bits of s, in order."""
+    table: list[tuple[int, ...]] = [()]
+    for item in items:
+        table += [t + (item,) for t in table]
+    return table
 
 
 _LEVEL_HOMS: dict[int, LevelHom] = {}
@@ -123,27 +187,37 @@ def level_hom(n: int) -> LevelHom:
 
 
 # ---------------------------------------------------------------------------
-# half-table bit remapping (poor man's PEXT over slot spaces)
+# OR-fold tables (poor man's PEXT over slot spaces)
+
+FOLD_BITS = 11                    # slots per OR-fold chunk: 2048-entry tables
+FOLD_MASK = (1 << FOLD_BITS) - 1
+COL_BITS = 8                      # faces per boundary-column chunk
+COL_MASK = (1 << COL_BITS) - 1
 
 
-class HalfMap:
-    """Precomputed OR-fold of per-bit contributions over a K-bit space.
+class OrFold:
+    """Precomputed OR-fold of per-slot contributions over a K-slot space.
 
-    value(s) = OR of contrib[i] over set bits i of s, evaluated with two
-    table lookups: lo[s & lomask] | hi[s >> lobits].
+    value(s) = OR of contrib[i] over the set bits i of s.  The slots are
+    cut into chunks of FOLD_BITS, each read with one table lookup.  A
+    fold always has at least two chunks (an empty one reads 0), so a fold
+    with K <= 2 * FOLD_BITS slots may be read inline as
+    lo[s & FOLD_MASK] | hi[s >> FOLD_BITS].
     """
 
-    __slots__ = ("lo", "hi", "lobits", "lomask")
+    __slots__ = ("tables", "lo", "hi")
 
-    def __init__(self, K: int, contrib: list[int]):
-        lobits = min(K, 11)
-        self.lobits = lobits
-        self.lomask = (1 << lobits) - 1
-        self.lo = _or_fold_table(contrib[:lobits])
-        self.hi = _or_fold_table(contrib[lobits:])
+    def __init__(self, contrib: list[int]):
+        starts = range(0, max(len(contrib), 2 * FOLD_BITS), FOLD_BITS)
+        self.tables = [_or_fold_table(contrib[i:i + FOLD_BITS]) for i in starts]
+        self.lo, self.hi = self.tables[0], self.tables[1]
 
     def value(self, s: int) -> int:
-        return self.lo[s & self.lomask] | self.hi[s >> self.lobits]
+        out = 0
+        for table in self.tables:
+            out |= table[s & FOLD_MASK]
+            s >>= FOLD_BITS
+        return out
 
 
 def _or_fold_table(contrib: list[int]) -> list[int]:
@@ -151,7 +225,9 @@ def _or_fold_table(contrib: list[int]) -> list[int]:
     table = [0] * (1 << k)
     for s in range(1, 1 << k):
         low = s & -s
-        table[s] = table[s ^ low] | contrib[low.bit_length() - 1]
+        c = contrib[low.bit_length() - 1]
+        # a slot that contributes nothing shares its entry's int object
+        table[s] = table[s ^ low] | c if c else table[s ^ low]
     return table
 
 
@@ -159,6 +235,14 @@ def _compress_drop_vertex(mask: int, vbit: int) -> int:
     """Shift out one vertex bit (mask must not contain it)."""
     low = vbit - 1
     return (mask & low) | ((mask >> 1) & ~low)
+
+
+def _link_contrib(slots: list[int], child_index: dict[int, int], v: int) -> list[int]:
+    """Per facet slot: the child facet-set bit of its trace in the link of
+    vertex v+1 (0 for facets missing v+1), over the child's slots on [m-1]."""
+    vbit = 1 << v
+    return [1 << child_index[_compress_drop_vertex(f ^ vbit, vbit)] if f & vbit else 0
+            for f in slots]
 
 
 # ---------------------------------------------------------------------------
@@ -192,20 +276,7 @@ class LinkTables:
         child = link_tables(m - 1, k - 1)
         child_index = {mask: i for i, mask in enumerate(child.slots)}
         # ext[v][s] = child facet-set mask of the link of vertex v+1 in s
-        ext: list[list[int]] = []
-        for v in range(m):
-            vbit = 1 << v
-            contrib = []
-            for f in self.slots:
-                if f & vbit:
-                    contrib.append(1 << child_index[_compress_drop_vertex(f ^ vbit, vbit)])
-                else:
-                    contrib.append(0)
-            table = [0] * size
-            for s in range(1, size):
-                low = s & -s
-                table[s] = table[s ^ low] | contrib[low.bit_length() - 1]
-            ext.append(table)
+        ext = [_or_fold_table(_link_contrib(self.slots, child_index, v)) for v in range(m)]
 
         lh = level_hom(m)
         cmaxbad = child.maxbad
@@ -249,30 +320,11 @@ def link_tables(m: int, k: int) -> LinkTables:
 # flag (clique complex) homology digests
 
 
-def flag_level_masks(adj: tuple[int, ...], n: int, lh: LevelHom) -> list[int]:
-    """Per-level face bitmaps of the clique complex of ``adj``.
-
-    Cliqueness DP over all 2^n subsets: S is a clique iff S minus its
-    lowest vertex is one and that vertex sees the rest.
-    """
-    index = lh.index
-    masks = [0] * (n + 1)
-    masks[0] = 1
-    cliq = bytearray(1 << n)
-    cliq[0] = 1
-    for s in range(1, 1 << n):
-        low = s & -s
-        rest = s ^ low
-        if cliq[rest] and (adj[low.bit_length() - 1] & rest) == rest:
-            cliq[s] = 1
-            masks[s.bit_count()] |= 1 << index[s.bit_count()][s]
-    return masks
-
-
-def flag_dims(adj: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Reduced GF(2) homology of the clique complex of a graph."""
+def flag_dims(gmask: int, n: int) -> tuple[int, ...]:
+    """Reduced GF(2) homology of the clique complex of the graph on [n]
+    whose edges are flagged in ``gmask`` (over size_subsets(n, 2))."""
     lh = level_hom(n)
-    return lh.dims_from_levels(flag_level_masks(adj, n, lh))
+    return lh.dims_from_levels(lh.clique_levels(gmask))
 
 
 class FlagTables:
@@ -285,21 +337,11 @@ class FlagTables:
 
     def __init__(self, w: int):
         self.w = w
-        self.pair_slots = size_subsets(w, 2)
-        E = len(self.pair_slots)
         lh = level_hom(w)
-        nlmax = [-1] * (1 << E)
-        ends = [(p & -p, p ^ (p & -p)) for p in self.pair_slots]
-        for e in range(1 << E):
-            adj = [0] * w
-            m = e
-            while m:
-                b = m & -m
-                m ^= b
-                u, v = ends[b.bit_length() - 1]
-                adj[u.bit_length() - 1] |= v
-                adj[v.bit_length() - 1] |= u
-            dims = lh.dims_from_levels(flag_level_masks(tuple(adj), w, lh))
+        self.pair_slots = lh.levels[2]
+        nlmax = [-1] * (1 << len(self.pair_slots))
+        for e in range(len(nlmax)):
+            dims = lh.dims_from_levels(lh.clique_levels(e))
             best = -1
             for deg in range(1, len(dims) - 1):
                 if dims[deg + 1]:
@@ -396,9 +438,10 @@ class Codim2Engine:
         self.n = n
         self.d = d = n - 2
         self.lh = level_hom(n)
+        self.lh.closure_fold(d)
         self.facet_slots = self.lh.levels[d]
         self.pair_slots = self.lh.levels[2]
-        K = len(self.facet_slots)
+        K = len(self.facet_slots)  # C(n, 2) <= 2 * FOLD_BITS: every fold reads inline
         self.K = K
         self.full = (1 << K) - 1
 
@@ -406,16 +449,8 @@ class Codim2Engine:
         if d >= 2:
             self.lt = link_tables(n - 1, d - 1)
             child_index = {mask: i for i, mask in enumerate(self.lt.slots)}
-            self.linkmaps = []
-            for v in range(n):
-                vbit = 1 << v
-                contrib = []
-                for f in self.facet_slots:
-                    if f & vbit:
-                        contrib.append(1 << child_index[_compress_drop_vertex(f ^ vbit, vbit)])
-                    else:
-                        contrib.append(0)
-                self.linkmaps.append(HalfMap(K, contrib))
+            self.linkmaps = [OrFold(_link_contrib(self.facet_slots, child_index, v))
+                             for v in range(n)]
         else:
             self.lt = None
             self.linkmaps = []
@@ -424,10 +459,16 @@ class Codim2Engine:
         pair_index = {mask: i for i, mask in enumerate(self.pair_slots)}
         facet_index = {mask: i for i, mask in enumerate(self.facet_slots)}
         nfull = (1 << n) - 1
-        self.f2e = HalfMap(K, [1 << pair_index[nfull ^ f] for f in self.facet_slots])
-        self.e2f = HalfMap(K, [1 << facet_index[nfull ^ p] for p in self.pair_slots])
+        self.f2e = OrFold([1 << pair_index[nfull ^ f] for f in self.facet_slots])
+        self.e2f = OrFold([1 << facet_index[nfull ^ p] for p in self.pair_slots])
         self.pair_ends = [((p & -p).bit_length() - 1, (p ^ (p & -p)).bit_length() - 1)
                           for p in self.pair_slots]
+        # vertices touched by a facet set / an edge set; neighbours of each vertex
+        self.facet_cover = OrFold(self.facet_slots)
+        self.edge_cover = OrFold(self.pair_slots)
+        self.nbr_folds = [(fold.lo, fold.hi) for fold in (
+            OrFold([p ^ (1 << v) if p >> v & 1 else 0 for p in self.pair_slots])
+            for v in range(n))]
 
         # level bitmaps of the subsets lying inside W, for |W| >= 5 (the
         # only restriction sizes that can push projdim of the ring past 3)
@@ -436,17 +477,11 @@ class Codim2Engine:
             w = wmask.bit_count()
             if w < 5 or w == n:
                 continue
-            per_level = []
-            for k in range(min(w, 3) + 1):
-                bm = 0
-                for j, mu in enumerate(self.lh.levels[k]):
-                    if mu & wmask == mu:
-                        bm |= 1 << j
-                per_level.append(bm)
-            self.inside_w[wmask] = per_level
+            self.inside_w[wmask] = [_subsets_bitmap(self.lh.levels[k], wmask)
+                                    for k in range(min(w, 3) + 1)]
 
         # per-W restriction maps of graph edge masks into FlagTables spaces
-        self.restmaps: list[tuple[HalfMap, int, list[int]]] = []
+        self.restmaps: list[tuple[OrFold, int, list[int]]] = []
         for wmask in range(1, 1 << n):
             w = wmask.bit_count()
             if w < 2 or w == n:
@@ -468,7 +503,7 @@ class Codim2Engine:
                     contrib.append(1 << sub_index[pm])
                 else:
                     contrib.append(0)
-            self.restmaps.append((HalfMap(K, contrib), w, ft.nlmax))
+            self.restmaps.append((OrFold(contrib), w, ft.nlmax))
 
     # -- shared per-instance pieces ---------------------------------------
 
@@ -482,13 +517,8 @@ class Codim2Engine:
         return out
 
     def covers(self, s: int) -> bool:
-        occ = 0
-        slots = self.facet_slots
-        while s:
-            b = s & -s
-            s ^= b
-            occ |= slots[b.bit_length() - 1]
-        return occ == (1 << self.n) - 1
+        fold = self.facet_cover
+        return fold.lo[s & FOLD_MASK] | fold.hi[s >> FOLD_BITS] == self.lh.full[1]
 
     def link_digest(self, s: int) -> tuple[int, int]:
         """(max unclean size, Serre violation) over nonempty faces only."""
@@ -498,8 +528,10 @@ class Codim2Engine:
         sv = _SERRE_NONE
         cmaxbad = self.lt.maxbad
         cserre = self.lt.serre
-        for hm in self.linkmaps:
-            lm = hm.lo[s & hm.lomask] | hm.hi[s >> hm.lobits]
+        lo_s = s & FOLD_MASK
+        hi_s = s >> FOLD_BITS
+        for fold in self.linkmaps:
+            lm = fold.lo[lo_s] | fold.hi[hi_s]
             if not lm:
                 continue
             c = cmaxbad[lm]
@@ -529,21 +561,15 @@ class Codim2Engine:
         return mb + 1, sv, dims, levels
 
     def adj_of_edges(self, gmask: int) -> tuple[int, ...]:
-        adj = [0] * self.n
-        ends = self.pair_ends
-        while gmask:
-            b = gmask & -gmask
-            gmask ^= b
-            u, v = ends[b.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return tuple(adj)
+        lo_g = gmask & FOLD_MASK
+        hi_g = gmask >> FOLD_BITS
+        return tuple([lo[lo_g] | hi[hi_g] for lo, hi in self.nbr_folds])
 
     def dual_graph_mask(self, s: int) -> int:
         """Edges of the dual's 1-skeleton: pairs whose complement facet is absent."""
-        hm = self.f2e
+        fold = self.f2e
         t = self.full ^ s
-        return hm.lo[t & hm.lomask] | hm.hi[t >> hm.lobits]
+        return fold.lo[t & FOLD_MASK] | fold.hi[t >> FOLD_BITS]
 
     def ndp_threshold(self, gmask: int, dims_c: tuple[int, ...] | None) -> int:
         """min t such that N_{2, d-t} holds for the dual's ideal.
@@ -555,13 +581,15 @@ class Codim2Engine:
         is recomputed directly and compared).
         """
         istar = _SERRE_NONE
-        for hm, w, nlmax in self.restmaps:
-            nl = nlmax[hm.lo[gmask & hm.lomask] | hm.hi[gmask >> hm.lobits]]
+        lo_g = gmask & FOLD_MASK
+        hi_g = gmask >> FOLD_BITS
+        for fold, w, nlmax in self.restmaps:
+            nl = nlmax[fold.lo[lo_g] | fold.hi[hi_g]]
             if nl >= 1:
                 cand = w - nl - 2
                 if cand < istar:
                     istar = cand
-        dims_dual = flag_dims(self.adj_of_edges(gmask), self.n)
+        dims_dual = flag_dims(gmask, self.n)
         if dims_c is not None:
             _check_duality(dims_c, dims_dual, self.n)
         for deg in range(1, len(dims_dual) - 1):
@@ -627,19 +655,11 @@ class Codim2Engine:
                 return False
         if not self.inside_w:
             return True
-        pair_ends = self.pair_ends
-        down3 = self.lh.down[3]
+        columns = self.lh.boundary_columns
         for wmask, inside in self.inside_w.items():
             w = wmask.bit_count()
             edges = levels[2] & inside[2]
-            adjl = [0] * n
-            m = edges
-            while m:
-                b = m & -m
-                m ^= b
-                u, v = pair_ends[b.bit_length() - 1]
-                adjl[u] |= 1 << v
-                adjl[v] |= 1 << u
+            adjl = self.adj_of_edges(edges)
             start = wmask & -wmask
             seen = start
             frontier = start
@@ -656,13 +676,7 @@ class Codim2Engine:
                 return False  # restriction disconnected: H~_0 != 0
             if w >= 6:
                 tris = levels[3] & inside[3]
-                cols = []
-                mm = tris
-                while mm:
-                    b = mm & -mm
-                    mm ^= b
-                    cols.append(down3[b.bit_length() - 1])
-                if edges.bit_count() - (w - 1) - rank_gf2_columns(cols):
+                if edges.bit_count() - (w - 1) - rank_gf2_columns(columns(3, tris)):
                     return False  # H~_1 of the restriction is nonzero
         return True
 
@@ -677,12 +691,13 @@ class Codim2Engine:
 
     def dual_of_clique_mask(self, e: int) -> int:
         """Facet mask of (clique complex of G)^dual: complements of non-edges."""
-        hm = self.e2f
+        fold = self.e2f
         t = self.full ^ e
-        return hm.lo[t & hm.lomask] | hm.hi[t >> hm.lobits]
+        return fold.lo[t & FOLD_MASK] | fold.hi[t >> FOLD_BITS]
 
     def graph_no_isolated(self, e: int) -> bool:
-        return all(a for a in self.adj_of_edges(e))
+        fold = self.edge_cover
+        return fold.lo[e & FOLD_MASK] | fold.hi[e >> FOLD_BITS] == self.lh.full[1]
 
     def main2_clauses(self, e: int) -> list[str]:
         """dual(clique(G)) is CM_{n-r} iff every cycle of length <= r has a
@@ -694,7 +709,7 @@ class Codim2Engine:
         adj = self.adj_of_edges(e)
         mc, _ = chordless_span_adj(adj, early_min=True)
         t_chord = max(0, self.n - mc + 1) if mc else 0
-        _check_duality(flag_dims(adj, self.n), dims_dual_cx, self.n)
+        _check_duality(flag_dims(e, self.n), dims_dual_cx, self.n)
         if t_cm == t_chord:
             return []
         return [f"min t with CM_t = {t_cm} but chord threshold = {t_chord}"]
@@ -702,14 +717,16 @@ class Codim2Engine:
     def linearity_data(self, e: int) -> tuple[bool, int, int]:
         """(I_{clique(G)} fully linear, min chordless len, max chordless len)."""
         istar = _SERRE_NONE
-        for hm, w, nlmax in self.restmaps:
-            nl = nlmax[hm.lo[e & hm.lomask] | hm.hi[e >> hm.lobits]]
+        lo_e = e & FOLD_MASK
+        hi_e = e >> FOLD_BITS
+        for fold, w, nlmax in self.restmaps:
+            nl = nlmax[fold.lo[lo_e] | fold.hi[hi_e]]
             if nl >= 1:
                 istar = 1  # any nonlinear term breaks full linearity
                 break
         full_linear = istar >= _SERRE_NONE
         if full_linear:
-            dims_g = flag_dims(self.adj_of_edges(e), self.n)
+            dims_g = flag_dims(e, self.n)
             for deg in range(1, len(dims_g) - 1):
                 if dims_g[deg + 1]:
                     full_linear = False
@@ -777,33 +794,20 @@ class PureSpaceEngine:
         self.n = n
         self.d = d
         self.lh = level_hom(n)
+        self.lh.closure_fold(d)
         self.facet_slots = self.lh.levels[d]
-        K = len(self.facet_slots)
+        self.facet_cover = OrFold(self.facet_slots)
         if d >= 2:
             self.lt = link_tables(n - 1, d - 1)
             child_index = {mask: i for i, mask in enumerate(self.lt.slots)}
-            self.linkmaps = []
-            for v in range(n):
-                vbit = 1 << v
-                contrib = []
-                for f in self.facet_slots:
-                    if f & vbit:
-                        contrib.append(1 << child_index[_compress_drop_vertex(f ^ vbit, vbit)])
-                    else:
-                        contrib.append(0)
-                self.linkmaps.append(HalfMap(K, contrib))
+            self.linkmaps = [OrFold(_link_contrib(self.facet_slots, child_index, v))
+                             for v in range(n)]
         else:
             self.lt = None
             self.linkmaps = []
 
     def covers(self, s: int) -> bool:
-        occ = 0
-        slots = self.facet_slots
-        while s:
-            b = s & -s
-            s ^= b
-            occ |= slots[b.bit_length() - 1]
-        return occ == (1 << self.n) - 1
+        return self.facet_cover.value(s) == self.lh.full[1]
 
     def decode_facets(self, s: int) -> list[int]:
         slots = self.facet_slots
@@ -818,8 +822,8 @@ class PureSpaceEngine:
         if self.lt is None:
             return True  # 0-dimensional: every vertex link is irrelevant
         cmaxbad = self.lt.maxbad
-        for hm in self.linkmaps:
-            lm = hm.lo[s & hm.lomask] | hm.hi[s >> hm.lobits]
+        for fold in self.linkmaps:
+            lm = fold.value(s)
             if lm and cmaxbad[lm] >= 0:
                 return False
         return True
