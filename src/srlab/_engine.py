@@ -6,7 +6,9 @@ exhaustive searches (millions of instances) finish in minutes on one
 core.  tests/test_engine_kernels.py compares the engine's digests (face
 closure, clique-complex homology, adjacency and cover filters, min CM_t
 and homology dims) with the generic route on every instance for n <= 5
-and on seeded samples at n = 6 and 7.
+and on seeded samples at n = 6 and 7, and the N_{2,.} threshold and the
+chordless span on every instance for n <= 5.  tests/test_orbits.py
+checks that every digest is invariant under relabeling the vertices.
 
 Layout:
   LevelHom     GF(2) homology from per-cardinality face bitmaps; face
@@ -22,6 +24,9 @@ Layout:
                w <= 6 labeled vertices, indexed by edge-set mask.
   Codim2Engine per-instance checks for the big theorem runs (pure
                codimension-2 complexes and their dual graphs).
+  orbit_reps   least slot mask of each S_n-orbit of slot masks, by DFS
+               through two generator OrFolds; the harness checks one
+               instance per orbit in exhaustive spaces.
 
 Two checks also verify combinatorial Alexander duality (H~_i of the
 dual against H~_{n-i-3} of the complex) on every instance they analyze:
@@ -32,6 +37,8 @@ run it.
 """
 
 from __future__ import annotations
+
+from math import factorial
 
 from ._bits import size_subsets
 from .homology import rank_gf2_columns
@@ -243,6 +250,76 @@ def _link_contrib(slots: list[int], child_index: dict[int, int], v: int) -> list
     vbit = 1 << v
     return [1 << child_index[_compress_drop_vertex(f ^ vbit, vbit)] if f & vbit else 0
             for f in slots]
+
+
+# ---------------------------------------------------------------------------
+# S_n orbits of slot masks
+
+
+def _relabel_fold(slots: list[int], perm: list[int]) -> OrFold:
+    """The slot permutation induced by the vertex permutation v -> perm[v]."""
+    index = {mask: i for i, mask in enumerate(slots)}
+    contrib = []
+    for f in slots:
+        image = 0
+        for v, pv in enumerate(perm):
+            if f >> v & 1:
+                image |= 1 << pv
+        contrib.append(1 << index[image])
+    return OrFold(contrib)
+
+
+def _orbit_table(n: int, k: int) -> list[int]:
+    slots = size_subsets(n, k)
+    if len(slots) > 2 * FOLD_BITS:
+        raise ValueError(f"orbit tables need at most {2 * FOLD_BITS} slots, "
+                         f"({n}, {k}) has {len(slots)}")
+    size = 1 << len(slots)
+    swap = list(range(n))
+    if n >= 2:
+        swap[0], swap[1] = 1, 0
+    # the transposition (1 2) and the n-cycle generate S_n; both folds read inline
+    gens = [_relabel_fold(slots, swap), _relabel_fold(slots, [(v + 1) % n for v in range(n)])]
+    images = [lambda x, lo=g.lo, hi=g.hi: lo[x & FOLD_MASK] | hi[x >> FOLD_BITS]
+              for g in gens]
+    group_order = factorial(n)
+    rep = [-1] * size
+    total = 0
+    for s in range(size):
+        if rep[s] >= 0:
+            continue
+        # s is the least mask of a new orbit: assign the orbit by DFS
+        rep[s] = s
+        stack = [s]
+        count = 1
+        while stack:
+            x = stack.pop()
+            for image in images:
+                y = image(x)
+                if rep[y] < 0:
+                    rep[y] = s
+                    stack.append(y)
+                    count += 1
+        if group_order % count:
+            raise EngineError(f"orbit of {s} in ({n}, {k}) has {count} masks, "
+                              f"which does not divide {n}!")
+        total += count
+    if total != size:
+        raise EngineError(f"orbit sizes of ({n}, {k}) sum to {total}, not 2^{len(slots)}")
+    return rep
+
+
+_ORBIT_TABLES: dict[tuple[int, int], list[int]] = {}
+
+
+def orbit_reps(n: int, k: int) -> list[int]:
+    """rep[s] = the least slot mask in the S_n-orbit of s, where slot masks
+    are sets of k-subsets of [n] over size_subsets(n, k) (built once)."""
+    key = (n, k)
+    rep = _ORBIT_TABLES.get(key)
+    if rep is None:
+        rep = _ORBIT_TABLES[key] = _orbit_table(n, k)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -808,15 +885,6 @@ class PureSpaceEngine:
 
     def covers(self, s: int) -> bool:
         return self.facet_cover.value(s) == self.lh.full[1]
-
-    def decode_facets(self, s: int) -> list[int]:
-        slots = self.facet_slots
-        out = []
-        while s:
-            b = s & -s
-            s ^= b
-            out.append(slots[b.bit_length() - 1])
-        return out
 
     def is_buchsbaum(self, s: int) -> bool:
         if self.lt is None:

@@ -213,6 +213,8 @@ def _cmd_verify(args) -> int:
         print(result.to_json(include_elapsed=args.elapsed))
     else:
         status = "OK" if result.ok() else f"{len(result.counterexamples)} COUNTEREXAMPLE(S)"
+        if result.truncated:
+            status += " shown, more past --cap"
         print(f"{result.theorem_id}: {result.instances_checked} instances checked "
               f"({result.mode}, {result.field}) in {result.elapsed_s}s -> {status}")
         for cx in result.counterexamples:

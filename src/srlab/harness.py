@@ -2,13 +2,17 @@
 
 Each registered theorem id pairs a clause checker with default search
 spaces pinned in ``verify_manifest.json``.  Spaces enumerate labeled
-instances (no isomorphism reduction: correctness over speed) in a fixed
-order; sampling is seeded and deduplicated.  Large exhaustive GF(2)
-runs are dispatched to the table engine in ``_engine``; small spaces and
-non-GF(2) fields take the generic route through the public modules.
-Both routes are cross-validated against each other in the test suite.
-Expected counterexample count for every registered id over its default
-spaces: zero.
+instances in a fixed order; sampling is seeded and deduplicated.  Every
+checker is invariant under relabeling the vertices, so an exhaustive
+space of at most ``ORBIT_SLOT_LIMIT`` slots checks each S_n-orbit once,
+on its least slot mask (``_engine.orbit_reps``), while every labeled
+instance is still enumerated, counted and, when it fails, recorded on
+its own mask.  Large exhaustive GF(2) runs are dispatched to the table
+engine in ``_engine``; small spaces and non-GF(2) fields take the
+generic route through the public modules.  Both routes are
+cross-validated against each other in the test suite.  Expected
+counterexample count for every registered id over its default spaces:
+zero.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from math import comb
 from typing import Callable, Iterator
 
 from . import _engine
-from ._bits import labels_of, size_subsets
+from ._bits import size_subsets
 from .betti import (
     FULL_LINEARITY,
     check_er_shape,
@@ -56,6 +60,7 @@ from .homology import GF2, FieldSpec, reduced_homology
 ENGINE_MIN_INSTANCES = 8192
 
 EXHAUSTIVE_SLOT_LIMIT = 24  # exhaustive mode allowed only when slots <= this
+ORBIT_SLOT_LIMIT = 21       # orbit tables (2^slots entries) up to n = 7 codim-2 and graphs
 SAMPLE_ATTEMPT_FACTOR = 300
 
 
@@ -90,9 +95,13 @@ class SearchSpace:
             return "fixture"
         return "graph" if self.d == "graphs" else "complex"
 
+    @property
+    def slot_size(self) -> int:
+        """Vertices per slot: 2 for graph edges, d for facets."""
+        return 2 if self.kind == "graph" else int(self.d)
+
     def slot_masks(self) -> list[int]:
-        k = 2 if self.kind == "graph" else int(self.d)
-        return size_subsets(self.n, k)
+        return size_subsets(self.n, self.slot_size)
 
     def slot_count(self) -> int:
         if self.kind == "fixture":
@@ -182,22 +191,49 @@ def _mask_cover(slots: list[int], full: int) -> Callable[[int], bool]:
     return keep
 
 
+def _decoder(space: SearchSpace) -> Callable[[int], Complex | Graph]:
+    """Instance mask -> Complex or Graph; a fixture space has one instance."""
+    if space.kind == "fixture":
+        c = fixture_complex(space.fixture)
+        return lambda s: c
+    n = space.n
+    slots = space.slot_masks()
+    if space.kind == "graph":
+        def graph(s: int) -> Graph:
+            adj = [0] * n
+            while s:
+                b = s & -s
+                s ^= b
+                pm = slots[b.bit_length() - 1]
+                u = (pm & -pm).bit_length() - 1
+                v = (pm ^ (pm & -pm)).bit_length() - 1
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            return Graph.from_adj(tuple(adj))
+        return graph
+
+    def pure_complex(s: int) -> Complex:
+        masks = []
+        while s:
+            b = s & -s
+            s ^= b
+            masks.append(slots[b.bit_length() - 1])
+        return Complex(n, tuple(masks), _trusted=True)
+    return pure_complex
+
+
+def _generic_keep(space: SearchSpace) -> Callable[[int], bool] | None:
+    return _mask_cover(space.slot_masks(), (1 << space.n) - 1) if space.cover else None
+
+
 def enumerate_pure_complexes(space: SearchSpace) -> Iterator[Complex]:
     """All (or sampled) nonempty facet sets of d-subsets of [n], in a
     fixed order, passing the cover filter."""
     space.validate()
     if space.kind != "complex":
         raise HarnessError("expected a pure-complex space")
-    slots = space.slot_masks()
-    keep = _mask_cover(slots, (1 << space.n) - 1) if space.cover else None
-    for s in space.iter_masks(keep):
-        masks = []
-        m = s
-        while m:
-            b = m & -m
-            m ^= b
-            masks.append(slots[b.bit_length() - 1])
-        yield Complex(space.n, tuple(masks), _trusted=True)
+    decode = _decoder(space)
+    return (decode(s) for s in space.iter_masks(_generic_keep(space)))
 
 
 def enumerate_graphs(space: SearchSpace) -> Iterator[Graph]:
@@ -205,20 +241,8 @@ def enumerate_graphs(space: SearchSpace) -> Iterator[Graph]:
     space.validate()
     if space.kind != "graph":
         raise HarnessError("expected a graph space")
-    slots = space.slot_masks()
-    keep = _mask_cover(slots, (1 << space.n) - 1) if space.cover else None
-    for s in space.iter_masks(keep):
-        adj = [0] * space.n
-        m = s
-        while m:
-            b = m & -m
-            m ^= b
-            pm = slots[b.bit_length() - 1]
-            u = (pm & -pm).bit_length() - 1
-            v = (pm ^ (pm & -pm)).bit_length() - 1
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        yield Graph.from_adj(tuple(adj))
+    decode = _decoder(space)
+    return (decode(s) for s in space.iter_masks(_generic_keep(space)))
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +467,14 @@ THEOREMS: dict[str, TheoremDef] = {}
 
 
 def register_theorem(theorem_id: str, kind: str, checker, engine_hook: str | None = None):
+    """Register ``checker(instance, field) -> violated clauses`` under an id.
+
+    The checker must be invariant under relabeling the vertices: whether
+    it returns clauses may not change when the instance is permuted.  An
+    exhaustive space checks each S_n-orbit once, on its representative;
+    a recorded member that passes while its representative fails raises
+    ``EngineError``.
+    """
     THEOREMS[theorem_id] = TheoremDef(theorem_id, kind, checker, engine_hook)
 
 
@@ -479,7 +511,8 @@ class VerificationResult:
     truncated: bool = False
 
     def ok(self) -> bool:
-        return not self.counterexamples
+        """No instance failed, counting those dropped past the cap."""
+        return not self.counterexamples and not self.truncated
 
     def to_json_obj(self, include_elapsed: bool = False) -> dict:
         obj = {
@@ -523,24 +556,14 @@ def default_spaces(theorem_id: str) -> list[SearchSpace]:
 # verification driver
 
 
-def _complex_record(space: SearchSpace, mask: int, c: Complex, clauses: list[str]) -> dict:
-    return {
-        "space": space.to_json(),
-        "mask": mask,
-        "n": c.n,
-        "facets": [list(f) for f in c.facets()],
-        "clauses": clauses,
-    }
-
-
-def _graph_record(space: SearchSpace, mask: int, g: Graph, clauses: list[str]) -> dict:
-    return {
-        "space": space.to_json(),
-        "mask": mask,
-        "n": g.n,
-        "edges": [list(e) for e in g.edges()],
-        "clauses": clauses,
-    }
+def _record(space: SearchSpace, mask: int, inst: Complex | Graph, clauses: list[str]) -> dict:
+    rec: dict = {"space": space.to_json(), "mask": mask, "n": inst.n}
+    if isinstance(inst, Graph):
+        rec["edges"] = [list(e) for e in inst.edges()]
+    else:
+        rec["facets"] = [list(f) for f in inst.facets()]
+    rec["clauses"] = clauses
+    return rec
 
 
 def _engine_eligible(td: TheoremDef, space: SearchSpace, field: FieldSpec) -> bool:
@@ -559,108 +582,65 @@ def _engine_eligible(td: TheoremDef, space: SearchSpace, field: FieldSpec) -> bo
     return False
 
 
-def _run_engine(td: TheoremDef, space: SearchSpace, cap: int,
-                counterexamples: list[dict]) -> tuple[int, bool]:
-    hook = td.engine_hook
-    checked = 0
-    truncated = False
-    if hook == "corbk":
-        eng = _engine.pure_space_engine(space.n, int(space.d))
-        check = eng.corbk_clauses
-        covers = eng.covers
-        need_cover = space.cover
-        decode = eng.decode_facets
-    else:
-        eng = _engine.codim2_engine(space.n)
-        check = {
-            "topin": eng.topin_clauses,
-            "chardepth": eng.chardepth_clauses,
-            "main2": eng.main2_clauses,
-            "corlinear": eng.corlinear_clauses,
-            "froberg": eng.froberg_clauses,
-        }[hook]
-        if space.kind == "graph":
-            covers = eng.graph_no_isolated
-            decode = None
+def _route(td: TheoremDef, space: SearchSpace, field: FieldSpec,
+           decode: Callable[[int], Complex | Graph]):
+    """(keep, check) for one space: the instance filter (None for none) and
+    mask -> violated clauses, through the table engine when eligible."""
+    if _engine_eligible(td, space, field):
+        if td.engine_hook == "corbk":
+            eng = _engine.pure_space_engine(space.n, int(space.d))
         else:
-            covers = eng.covers
-            decode = eng.decode_facets
-        need_cover = space.cover
-    for s in space.iter_masks(covers if need_cover else None):
-        checked += 1
-        clauses = check(s)
-        if clauses:
-            if len(counterexamples) >= cap:
-                truncated = True
-                continue
-            if decode is not None:
-                rec = {
-                    "space": space.to_json(),
-                    "mask": s,
-                    "n": space.n,
-                    "facets": [list(labels_of(m)) for m in sorted(decode(s))],
-                    "clauses": clauses,
-                }
-            else:
-                g = Graph.from_adj(eng.adj_of_edges(s))
-                rec = _graph_record(space, s, g, clauses)
-            counterexamples.append(rec)
-    return checked, truncated
+            eng = _engine.codim2_engine(space.n)
+        keep = eng.graph_no_isolated if space.kind == "graph" else eng.covers
+        return (keep if space.cover else None), getattr(eng, f"{td.engine_hook}_clauses")
+    if space.kind != "fixture" and td.kind != space.kind:
+        raise HarnessError(f"{td.theorem_id} expects {td.kind} spaces")
+    checker = td.checker
+    return _generic_keep(space), lambda s: checker(decode(s), field)
 
 
-def _run_generic(td: TheoremDef, space: SearchSpace, field: FieldSpec, cap: int,
-                 counterexamples: list[dict]) -> tuple[int, bool]:
+def _run_space(td: TheoremDef, space: SearchSpace, field: FieldSpec, cap: int,
+               counterexamples: list[dict]) -> tuple[int, bool]:
+    """Check one space's instances; returns (instances checked, truncated).
+
+    An exhaustive space memoizes verdicts by S_n-orbit: each orbit is
+    checked on its least mask, and a member of a failing orbit is
+    re-checked on its own mask when it is recorded, so the records are
+    those of a per-instance run.  Sample and fixture spaces check every
+    instance.
+    """
+    decode = _decoder(space)
+    keep, check = _route(td, space, field, decode)
+    reps = None
+    if space.kind == "fixture":
+        masks: Iterator[int] | list[int] = [-1]
+    else:
+        masks = space.iter_masks(keep)
+        if space.mode == "exhaustive" and space.slot_count() <= ORBIT_SLOT_LIMIT:
+            reps = _engine.orbit_reps(space.n, space.slot_size)
+    verdicts: dict[int, list[str]] = {}  # orbit representative -> its clauses
     checked = 0
     truncated = False
-    if space.kind == "fixture":
-        c = fixture_complex(space.fixture)
-        clauses = td.checker(c, field)
+    for s in masks:
         checked += 1
-        if clauses:
-            counterexamples.append(_complex_record(space, -1, c, clauses))
-        return checked, truncated
-    if td.kind == "graph":
-        if space.kind != "graph":
-            raise HarnessError(f"{td.theorem_id} expects graph spaces")
-        slots = space.slot_masks()
-        keep = _mask_cover(slots, (1 << space.n) - 1) if space.cover else None
-        for s in space.iter_masks(keep):
-            adj = [0] * space.n
-            m = s
-            while m:
-                b = m & -m
-                m ^= b
-                pm = slots[b.bit_length() - 1]
-                u = (pm & -pm).bit_length() - 1
-                v = (pm ^ (pm & -pm)).bit_length() - 1
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            g = Graph.from_adj(tuple(adj))
-            checked += 1
-            clauses = td.checker(g, field)
-            if clauses:
-                if len(counterexamples) >= cap:
-                    truncated = True
-                    continue
-                counterexamples.append(_graph_record(space, s, g, clauses))
-        return checked, truncated
-    slots = space.slot_masks()
-    keep = _mask_cover(slots, (1 << space.n) - 1) if space.cover else None
-    for s in space.iter_masks(keep):
-        masks = []
-        m = s
-        while m:
-            b = m & -m
-            m ^= b
-            masks.append(slots[b.bit_length() - 1])
-        c = Complex(space.n, tuple(masks), _trusted=True)
-        checked += 1
-        clauses = td.checker(c, field)
+        if reps is None:
+            clauses = check(s)
+        else:
+            r = reps[s]
+            clauses = verdicts.get(r)
+            if clauses is None:
+                clauses = verdicts[r] = check(r)
+            if clauses and r != s and len(counterexamples) < cap:
+                clauses = check(s)
+                if not clauses:
+                    raise _engine.EngineError(
+                        f"{td.theorem_id}: mask {s} passes but its orbit representative "
+                        f"{r} fails; the checker is not invariant under relabeling")
         if clauses:
             if len(counterexamples) >= cap:
                 truncated = True
                 continue
-            counterexamples.append(_complex_record(space, s, c, clauses))
+            counterexamples.append(_record(space, s, decode(s), clauses))
     return checked, truncated
 
 
@@ -686,8 +666,12 @@ def verify_theorem(
         )
     if spaces is None:
         spaces = default_spaces(theorem_id)
+    if cap < 0:
+        raise HarnessError(f"counterexample cap must be >= 0, got {cap}")
     if max_n is not None:
         spaces = [sp for sp in spaces if sp.kind == "fixture" or sp.n <= max_n]
+        if not spaces:
+            raise HarnessError(f"no space of {theorem_id} has n <= {max_n}")
     if sample is not None:
         if seed is None:
             raise HarnessError("sampling override needs a seed")
@@ -704,10 +688,7 @@ def verify_theorem(
     checked = 0
     truncated = False
     for sp in spaces:
-        if _engine_eligible(td, sp, field):
-            got, trunc = _run_engine(td, sp, cap, counterexamples)
-        else:
-            got, trunc = _run_generic(td, sp, field, cap, counterexamples)
+        got, trunc = _run_space(td, sp, field, cap, counterexamples)
         checked += got
         truncated = truncated or trunc
     modes = {sp.mode for sp in spaces if sp.kind != "fixture"}

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import srlab
+from srlab import harness
 from srlab.cli import main
 from srlab.fixtures import COMPLEXES, GRAPHS, fixture_text
 
@@ -156,3 +162,33 @@ class TestVerifyCli:
     def test_field_flag(self, capsys):
         code, out, _ = run(capsys, "verify", "remark-serre", "--n", "3", "--field", "3", "--json")
         assert code == 0 and json.loads(out)["field"] == "GF(3)"
+
+    def test_zero_cap_with_failures_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setitem(harness.THEOREMS, "froberg",
+                            harness.TheoremDef("froberg", "graph", lambda g, field: ["nope"]))
+        code, out, _ = run(capsys, "verify", "froberg", "--n", "4", "--cap", "0")
+        assert code == 1 and "OK" not in out
+        code, out, _ = run(capsys, "verify", "froberg", "--n", "4", "--cap", "0", "--json")
+        obj = json.loads(out)
+        assert code == 1 and obj["counterexamples"] == [] and obj["counterexamples_truncated"]
+
+    def test_negative_cap_is_two(self, capsys):
+        code, _, err = run(capsys, "verify", "froberg", "--n", "4", "--cap", "-1")
+        assert code == 2 and "cap" in err
+
+    def test_no_space_left_is_two(self, capsys):
+        code, out, err = run(capsys, "verify", "thm-topin", "--n", "2", "--json")
+        assert code == 2 and out == "" and "n <= 2" in err
+
+    def test_output_independent_of_hash_seed(self):
+        src = str(Path(srlab.__file__).resolve().parent.parent)
+        outs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "srlab.cli", "verify", "thm-topin", "--n", "6", "--json"],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and json.loads(outs[0])["instances_checked"] > 0

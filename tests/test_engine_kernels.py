@@ -1,7 +1,8 @@
 """Digest agreement between the GF(2) table engine and the generic route.
 
 Each engine kernel is compared value by value with the public modules,
-on every instance for n <= 5 and on seeded samples at n = 6 and 7.  A
+on every instance for n <= 5 and on seeded samples at n = 6 and 7; the
+N_{2,.} threshold and the chordless span on every instance for n <= 5.  A
 theorem check that holds returns no clauses on either route, so
 comparing only whether a counterexample appeared cannot catch a wrong
 digest; these comparisons can.
@@ -12,9 +13,18 @@ from __future__ import annotations
 import pytest
 
 from srlab import GF2, SearchSpace, enumerate_graphs, enumerate_pure_complexes
-from srlab._engine import _SERRE_NONE, codim2_engine, flag_dims, level_hom, pure_space_engine
+from srlab._engine import (
+    _SERRE_NONE,
+    chordless_span_adj,
+    codim2_engine,
+    flag_dims,
+    level_hom,
+    pure_space_engine,
+)
+from srlab.betti import check_ndp, hochster_betti
+from srlab.complexes import alexander_dual
 from srlab.criteria import NO_VIOLATION, is_buchsbaum, link_profile, min_cm_t
-from srlab.graphs import clique_complex
+from srlab.graphs import chordless_span, clique_complex
 from srlab.harness import _mask_cover
 from srlab.homology import faces_by_size_from_masks, reduced_homology
 
@@ -92,3 +102,25 @@ def test_codim2_analyze_matches_generic(n):
         assert t_cm == min_cm_t(c, GF2), (n, s)
         assert serre_viol == (_SERRE_NONE if generic_viol == NO_VIOLATION else generic_viol), (n, s)
         assert dims == reduced_homology(c, GF2).dims, (n, s)
+
+
+@pytest.mark.parametrize("n", range(3, 6))
+def test_ndp_threshold_matches_dual_ideal_betti(n):
+    """Least t with N_{2, d-t} on the dual's ideal, against check_ndp on
+    hochster_betti of the Alexander dual."""
+    eng = codim2_engine(n)
+    d = n - 2
+    for s, c in pure_instances(n, d, cover=True):
+        dtbl = hochster_betti(alexander_dual(c), GF2, "ideal")
+        expected = min(t for t in range(d + 1) if check_ndp(dtbl, 2, d - t))
+        dims = reduced_homology(c, GF2).dims
+        assert eng.ndp_threshold(eng.dual_graph_mask(s), dims) == expected, (n, s)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_chordless_span_matches_graphs(n):
+    for e, g in graph_instances(n):
+        span = chordless_span(g.adj)
+        assert chordless_span_adj(g.adj) == span, (n, e)
+        lo, _ = chordless_span_adj(g.adj, early_min=True)
+        assert lo == span[0], (n, e)

@@ -19,7 +19,7 @@ from srlab import (
     verify_theorem,
 )
 from srlab import harness as hmod
-from srlab._engine import codim2_engine, pure_space_engine
+from srlab._engine import EngineError, codim2_engine, pure_space_engine
 from srlab.harness import (
     HarnessError,
     THEOREMS,
@@ -153,6 +153,89 @@ class TestFalseClaimMachinery:
         finally:
             THEOREMS.pop("test-never")
 
+    def test_zero_cap_still_fails(self):
+        def never(g, field):
+            return ["nope"]
+
+        register_theorem("test-never", "graph", never)
+        try:
+            r = verify_theorem("test-never", [SearchSpace(n=4, d="graphs")], cap=0)
+            assert r.counterexamples == [] and r.truncated
+            assert not r.ok()
+        finally:
+            THEOREMS.pop("test-never")
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(HarnessError):
+            verify_theorem("thm-er", max_n=2, cap=-1)
+
+    def test_empty_max_n_filter_rejected(self):
+        with pytest.raises(HarnessError):
+            verify_theorem("thm-topin", max_n=2)
+
+
+class TestOrbitMemo:
+    """Exhaustive spaces check one instance per S_n-orbit; the records must
+    still be those of a per-instance run."""
+
+    def test_failing_invariant_checker_records_every_labeled_mask(self):
+        def three_facets(c, field):
+            # label-invariant verdict, label-dependent clause text
+            return [f"3 facets: {c.facets()}"] if len(c.facet_masks) == 3 else []
+
+        sp = SearchSpace(n=5, d=3)
+        register_theorem("test-three-facets", "complex", three_facets)
+        try:
+            r = verify_theorem("test-three-facets", [sp], cap=5)
+        finally:
+            THEOREMS.pop("test-three-facets")
+        slots = sp.slot_masks()
+        covered = [s for s in range(1, 1 << len(slots))
+                   if hmod._mask_cover(slots, 31)(s)]
+        expected = []
+        for s in covered:
+            c = Complex(5, tuple(slots[i] for i in range(len(slots)) if s >> i & 1),
+                        _trusted=True)
+            clauses = three_facets(c, GF2)
+            if clauses:
+                expected.append({"space": sp.to_json(), "mask": s, "n": 5,
+                                 "facets": [list(f) for f in c.facets()],
+                                 "clauses": clauses})
+        assert len(expected) > 5
+        assert r.counterexamples == expected[:5]
+        assert r.truncated and not r.ok()
+        assert r.instances_checked == len(covered)
+
+    def test_non_invariant_checker_is_caught(self):
+        def has_facet_123(c, field):
+            return ["has {1,2,3}"] if 0b111 in c.facet_masks else []
+
+        register_theorem("test-labeled", "complex", has_facet_123)
+        try:
+            with pytest.raises(EngineError):
+                verify_theorem("test-labeled", [SearchSpace(n=5, d=3, cover=False)])
+            # sampled spaces check every instance, so nothing is assumed there
+            r = verify_theorem("test-labeled", [SearchSpace(
+                n=5, d=3, mode="sample", count=50, seed=3, cover=False)])
+            assert not r.ok()
+        finally:
+            THEOREMS.pop("test-labeled")
+
+    def test_checks_fall_to_orbit_count(self):
+        calls = []
+
+        def counting(g, field):
+            calls.append(g)
+            return []
+
+        register_theorem("test-counting", "graph", counting)
+        try:
+            r = verify_theorem("test-counting", [SearchSpace(n=5, d="graphs", cover=False)])
+        finally:
+            THEOREMS.pop("test-counting")
+        assert r.instances_checked == 2 ** 10 - 1
+        assert len(calls) == 33  # the 34 graphs on 5 unlabeled vertices, less the empty one
+
 
 class TestEngineAgainstGeneric:
     """The table engine must agree with the public-module route."""
@@ -196,11 +279,11 @@ class TestEngineAgainstGeneric:
     def test_corbk_n5_full(self):
         for d in (2, 3, 4):
             eng = pure_space_engine(5, d)
-            K = len(eng.facet_slots)
-            for s in range(1, 1 << K):
+            decode = hmod._decoder(SearchSpace(n=5, d=d))
+            for s in range(1, 1 << len(eng.facet_slots)):
                 if not eng.covers(s):
                     continue
-                c = Complex(5, tuple(eng.decode_facets(s)), _trusted=True)
+                c = decode(s)
                 assert bool(eng.corbk_clauses(s)) == bool(_check_corbk(c, GF2))
 
     def test_graph_engines_n5_full(self):
