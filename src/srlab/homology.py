@@ -3,14 +3,15 @@
 The chain complex is augmented (the empty face sits in degree -1), so
 the irrelevant complex has H~_-1 = 1; this convention is what makes
 Hochster's formula come out right for small restrictions.  GF(2) ranks
-use bit-packed column elimination; odd primes use dense arithmetic mod
-p; the rationals use exact fractions.
+use bit-packed column elimination; odd primes and the rationals share
+one fraction-free integer row elimination, reduced mod p or divided by
+row content over Q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from ._bits import compress_masks, submasks_one_less
 from .complexes import Complex
@@ -107,59 +108,43 @@ def rank_gf2_columns(cols: list[int]) -> int:
     return r
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank of a dense matrix with entries reduced mod p."""
-    if not rows or not rows[0]:
-        return 0
-    m, n = len(rows), len(rows[0])
+def _rank_exact(rows: list[list[int]], p: int) -> int:
+    """Rank of an integer matrix over GF(p), or over Q when ``p == 0``.
+
+    Fraction-free row echelon form: each pivot is an entry of least
+    absolute value in its column, and a row below it becomes
+    ``pv*row - f*prow``, reduced mod p or divided by its content over Q.
+    Scaling a row by a nonzero integer keeps the rank, so no fractions
+    are needed.  ``rows`` is consumed.
+    """
+    if p:
+        rows = [[x % p for x in row] for row in rows]
+    m = len(rows)
     rank = 0
-    for col in range(n):
-        piv = None
+    for col in range(len(rows[0]) if rows else 0):
+        piv, best = -1, 0
         for r in range(rank, m):
-            if rows[r][col] % p:
-                piv = r
-                break
-        if piv is None:
+            x = abs(rows[r][col])
+            if x and (piv < 0 or x < best):
+                piv, best = r, x
+                if x == 1:
+                    break
+        if piv < 0:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
         prow = rows[rank]
-        for r in range(m):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], prow)]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def _rank_fractions(rows: list[list[Fraction]]) -> int:
-    """Exact rank over Q; pivots chosen with smallest |num| * den to limit blowup."""
-    if not rows or not rows[0]:
-        return 0
-    m, n = len(rows), len(rows[0])
-    rank = 0
-    for col in range(n):
-        piv = None
-        best = None
-        for r in range(rank, m):
-            x = rows[r][col]
-            if x:
-                size = abs(x.numerator) * x.denominator
-                if best is None or size < best:
-                    best, piv = size, r
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pval = rows[rank][col]
-        rows[rank] = [x / pval for x in rows[rank]]
-        prow = rows[rank]
-        for r in range(m):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], prow)]
+        pv = prow[col]
+        for r in range(rank + 1, m):
+            f = rows[r][col]
+            if f:
+                row = [pv * x - f * y for x, y in zip(rows[r], prow)]
+                if p:
+                    row = [x % p for x in row]
+                else:
+                    g = gcd(*row)
+                    if g > 1:
+                        row = [x // g for x in row]
+                rows[r] = row
         rank += 1
         if rank == m:
             break
@@ -244,11 +229,7 @@ def dims_over_field(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, ...
     counts = [len(g) for g in groups]
     ranks = [0] * (top + 2)
     for s in range(1, top + 1):
-        rows = _signed_boundary_rows(groups[s - 1], groups[s])
-        if field.variant == "prime":
-            ranks[s] = _rank_mod_p(rows, field.p)
-        else:
-            ranks[s] = _rank_fractions([[Fraction(x) for x in row] for row in rows])
+        ranks[s] = _rank_exact(_signed_boundary_rows(groups[s - 1], groups[s]), field.key)
     return tuple(counts[s] - ranks[s] - ranks[s + 1] for s in range(top + 1))
 
 

@@ -181,14 +181,43 @@ class TestVerifyCli:
         assert code == 2 and out == "" and "n <= 2" in err
 
     def test_output_independent_of_hash_seed(self):
-        src = str(Path(srlab.__file__).resolve().parent.parent)
         outs = []
         for hash_seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env = dict(_src_env(), PYTHONHASHSEED=hash_seed)
             proc = subprocess.run(
                 [sys.executable, "-m", "srlab.cli", "verify", "thm-topin", "--n", "6", "--json"],
                 env=env, capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1] and json.loads(outs[0])["instances_checked"] > 0
+
+
+def _src_env():
+    src = str(Path(srlab.__file__).resolve().parent.parent)
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+class TestMainInSequence:
+    def test_sequence_matches_fresh_interpreters(self, files, capsys):
+        mt6 = files["MT6"]
+        sequence = [
+            ["betti", mt6, "--ring"],
+            ["betti", mt6],
+            ["check", mt6, "--cm"],
+            ["check", mt6],  # no predicate: argparse error, exit 2
+            ["check", mt6, "--report", "--field", "q"],
+        ]
+        in_process = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            in_process.append((code, out.out, out.err))
+        assert [c for c, _, _ in in_process] == [0, 0, 1, 2, 0]
+        for argv, got in zip(sequence, in_process):
+            proc = subprocess.run([sys.executable, "-m", "srlab.cli", *argv], env=_src_env(),
+                                  capture_output=True, text=True, timeout=60)
+            assert got == (proc.returncode, proc.stdout, proc.stderr), argv

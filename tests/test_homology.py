@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from srlab import GF2, QQ, Complex, FieldSpec, cone, reduced_homology
-from srlab.homology import boundary_matrix, dims_gf2, rank_gf2_columns
+from srlab.homology import (
+    _rank_exact,
+    _signed_boundary_rows,
+    boundary_matrix,
+    dims_gf2,
+    dims_over_field,
+    faces_by_size_from_masks,
+    rank_gf2_columns,
+)
 
 from conftest import cycle_complex
 from test_complexes import small_complexes
@@ -132,3 +141,100 @@ class TestProperties:
         # spot check: rationals agree with mod-7 on a homology-free complex
         c = Complex.from_facets([(1, 2, 3), (2, 3, 4), (3, 4, 5)])
         assert reduced_homology(c, QQ).total() == reduced_homology(c, FieldSpec.gf(7)).total() == 0
+
+
+def _reference_rank(rows, p):
+    """Gauss-Jordan over Fractions (p == 0) or over GF(p) by modular inverses."""
+    if p:
+        a = [[x % p for x in row] for row in rows]
+    else:
+        a = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][col], -1, p) if p else 1 / a[rank][col]
+        a[rank] = [x * inv % p if p else x * inv for x in a[rank]]
+        for r in range(len(a)):
+            f = a[r][col]
+            if r != rank and f:
+                a[r] = [(x - f * y) % p if p else x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+def _random_matrix(rng):
+    """Entries in -3..3 at a random density, with zero, repeated rows and zero columns."""
+    m, n = rng.randint(1, 20), rng.randint(1, 20)
+    density = rng.choice((0.15, 0.4, 1.0))
+    rows = [[rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(m)]
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows[rng.randrange(m)] = [0] * n
+        elif kind == 1:
+            rows[rng.randrange(m)] = list(rows[rng.randrange(m)])
+        else:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+    return rows
+
+
+def _all_complex_facets(n):
+    """Facet masks of every nonvoid complex on [n], from its down-set bitmap.
+
+    A down-set of 2^[n] is D0 + {S + n : S in D1} with D1 <= D0 down-sets
+    of 2^[n-1]; bit m of the bitmap says whether face m is present.
+    """
+    downsets = [0, 1]
+    for k in range(1, n + 1):
+        shift = 1 << (k - 1)
+        downsets = [d0 | d1 << shift for d0 in downsets for d1 in downsets if d1 & ~d0 == 0]
+    for d in downsets:
+        if d:
+            faces = [m for m in range(1 << n) if d >> m & 1]
+            yield tuple(f for f in faces
+                        if not any(g != f and g & f == f for g in faces))
+
+
+class TestRankExact:
+    @pytest.mark.parametrize("p", [0, 3, 5, 7])
+    def test_matches_reference_on_random_matrices(self, p):
+        rng = random.Random(f"rank-exact:{p}")
+        for _ in range(300):
+            rows = _random_matrix(rng)
+            assert _rank_exact([list(r) for r in rows], p) == _reference_rank(rows, p), rows
+
+    def test_characteristic_three(self):
+        # det [[1, 1], [1, -2]] = -3: invertible over Q, singular over GF(3)
+        assert _rank_exact([[1, 1], [1, -2]], 0) == 2
+        assert _rank_exact([[1, 1], [1, -2]], 3) == 1
+        assert _rank_exact([[1, 1], [1, -2]], 5) == 2
+
+    def test_empty_shapes(self):
+        for p in (0, 3):
+            assert _rank_exact([], p) == 0
+            assert _rank_exact([[], []], p) == 0
+            assert _rank_exact([[0, 0], [0, 0]], p) == 0
+
+    def test_gf2_matches_bit_packed_kernel(self):
+        # every complex on 5 vertices; fewer vertices are these plus unused ones
+        count = 0
+        for facets in _all_complex_facets(5):
+            groups = faces_by_size_from_masks(facets)
+            ranks = [0] * (len(groups) + 1)
+            for s in range(1, len(groups)):
+                ranks[s] = _rank_exact(_signed_boundary_rows(groups[s - 1], groups[s]), 2)
+            dims = tuple(len(g) - ranks[s] - ranks[s + 1] for s, g in enumerate(groups))
+            assert dims == dims_gf2(facets), facets
+            count += 1
+        assert count == 7580  # Dedekind number M(5) = 7581, less the void complex
+
+    def test_boundary_of_ten_simplex_over_rationals(self):
+        facets = tuple(((1 << 11) - 1) ^ (1 << v) for v in range(11))
+        dims = dims_over_field(facets, QQ)
+        assert dims[10] == 1 and sum(dims) == 1  # H~_9 = 1, index 0 is degree -1
