@@ -28,6 +28,12 @@ Layout:
                through two generator OrFolds; the harness checks one
                instance per orbit in exhaustive spaces.
 
+Every table entry depends only on the isomorphism class of its complex
+or graph, so LinkTables and FlagTables compute one entry per orbit and
+copy it to the rest of the orbit.  Their orbit tables have at most 15
+slots (2^15 entries) and are built by the table constructors; the
+21-slot n = 7 orbit tables are built only when the harness asks for them.
+
 Two checks also verify combinatorial Alexander duality (H~_i of the
 dual against H~_{n-i-3} of the complex) on every instance they analyze:
 ``Codim2Engine.topin_clauses`` (through ``ndp_threshold``) and
@@ -314,7 +320,11 @@ _ORBIT_TABLES: dict[tuple[int, int], list[int]] = {}
 
 def orbit_reps(n: int, k: int) -> list[int]:
     """rep[s] = the least slot mask in the S_n-orbit of s, where slot masks
-    are sets of k-subsets of [n] over size_subsets(n, k) (built once)."""
+    are sets of k-subsets of [n] over size_subsets(n, k) (built once).
+
+    LinkTables and FlagTables build the tables of at most 15 slots they
+    read; the harness builds the rest (up to 21 slots) lazily.
+    """
     key = (n, k)
     rep = _ORBIT_TABLES.get(key)
     if rep is None:
@@ -334,7 +344,10 @@ class LinkTables:
     (-1 if none); serre_viol is the smallest degree violating a Serre
     bound anywhere (=_SERRE_NONE if none).  Built bottom-up: entry
     digests combine the complex's own homology with the digests of its
-    vertex links, which live one table down.
+    vertex links, which live one table down.  Both digests depend only
+    on the isomorphism class, so one entry per S_m-orbit is computed
+    (at orbit_reps(m, k)) and every other entry copies its
+    representative's; the engines need at most 15 slots here.
     """
 
     def __init__(self, m: int, k: int):
@@ -352,14 +365,20 @@ class LinkTables:
 
         child = link_tables(m - 1, k - 1)
         child_index = {mask: i for i, mask in enumerate(child.slots)}
-        # ext[v][s] = child facet-set mask of the link of vertex v+1 in s
-        ext = [_or_fold_table(_link_contrib(self.slots, child_index, v)) for v in range(m)]
+        # ext[v].value(s) = child facet-set mask of the link of vertex v+1 in s
+        ext = [OrFold(_link_contrib(self.slots, child_index, v)) for v in range(m)]
 
         lh = level_hom(m)
         cmaxbad = child.maxbad
         cserre = child.serre
         dims_pure = lh.dims_pure
+        rep = orbit_reps(m, k)
         for s in range(1, size):
+            r = rep[s]
+            if r != s:  # r < s: its entry is already filled
+                maxbad[s] = maxbad[r]
+                serre[s] = serre[r]
+                continue
             dims = dims_pure(k, s)
             mb = -1
             sv = _SERRE_NONE
@@ -368,8 +387,8 @@ class LinkTables:
                     sv = i
                     mb = 0
                     break
-            for v in range(m):
-                lm = ext[v][s]
+            for fold in ext:
+                lm = fold.value(s)
                 if not lm:
                     continue
                 cm = cmaxbad[lm]
@@ -409,7 +428,10 @@ class FlagTables:
 
     nlmax[e] = max degree >= 1 with nonzero reduced homology (-1 when the
     only homology sits in degrees -1/0): exactly the data Hochster terms
-    need to locate nonlinear Betti entries.
+    need to locate nonlinear Betti entries.  It depends only on the
+    isomorphism class of the graph, so one entry per S_w-orbit is
+    computed (at orbit_reps(w, 2), at most 15 slots for w <= 6) and
+    every other entry copies its representative's.
     """
 
     def __init__(self, w: int):
@@ -417,8 +439,13 @@ class FlagTables:
         lh = level_hom(w)
         self.pair_slots = lh.levels[2]
         nlmax = [-1] * (1 << len(self.pair_slots))
+        rep = orbit_reps(w, 2)
         for e in range(len(nlmax)):
-            dims = lh.dims_from_levels(lh.clique_levels(e))
+            r = rep[e]
+            if r != e:  # r < e: its entry is already filled
+                nlmax[e] = nlmax[r]
+                continue
+            dims = flag_dims(e, w)
             best = -1
             for deg in range(1, len(dims) - 1):
                 if dims[deg + 1]:
@@ -557,13 +584,17 @@ class Codim2Engine:
             self.inside_w[wmask] = [_subsets_bitmap(self.lh.levels[k], wmask)
                                     for k in range(min(w, 3) + 1)]
 
-        # per-W restriction maps of graph edge masks into FlagTables spaces
+        # per-W restriction maps of graph edge masks into FlagTables spaces,
+        # for the sizes w whose clique complexes can have H~_{>=1} at all
+        # (none for w <= 3: such a map could never give a nonlinear term)
         self.restmaps: list[tuple[OrFold, int, list[int]]] = []
         for wmask in range(1, 1 << n):
             w = wmask.bit_count()
             if w < 2 or w == n:
                 continue
             ft = flag_tables(w)
+            if max(ft.nlmax) < 1:
+                continue
             sub_index = {mask: i for i, mask in enumerate(ft.pair_slots)}
             comp = {}
             i = 0

@@ -5,7 +5,9 @@ the irrelevant complex has H~_-1 = 1; this convention is what makes
 Hochster's formula come out right for small restrictions.  GF(2) ranks
 use bit-packed column elimination; odd primes and the rationals share
 one fraction-free integer row elimination, reduced mod p or divided by
-row content over Q.
+row content over Q.  A cone (facets sharing a vertex) is acyclic, so
+``dims_over_field`` answers it without eliminating; ``dims_gf2`` always
+eliminates.
 """
 
 from __future__ import annotations
@@ -221,7 +223,16 @@ def _signed_boundary_rows(lower: list[int], upper: list[int]) -> list[list[int]]
 
 
 def dims_over_field(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, ...]:
-    """Reduced homology dims over an arbitrary FieldSpec (degree -1 first)."""
+    """Reduced homology dims over an arbitrary FieldSpec (degree -1 first).
+
+    Facets sharing a vertex span a cone, which is acyclic over every
+    field; its dims are all 0 and no boundary map is eliminated.
+    """
+    apex = facets[0] if facets else 0
+    for f in facets:
+        apex &= f
+    if apex:
+        return (0,) * (max(f.bit_count() for f in facets) + 1)
     if field.key == 2:
         return dims_gf2(facets)
     groups = faces_by_size_from_masks(facets)

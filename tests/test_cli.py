@@ -192,6 +192,16 @@ class TestVerifyCli:
         assert outs[0] == outs[1] and json.loads(outs[0])["instances_checked"] > 0
 
 
+def test_homology_of_fourteen_simplex_is_immediate(tmp_path):
+    # a cone: no dense elimination of its 3003 x 3432 boundary maps over QQ
+    path = tmp_path / "simplex14"
+    path.write_text("V: 14\n" + " ".join(map(str, range(1, 15))) + "\n")
+    proc = subprocess.run([sys.executable, "-m", "srlab.cli", "homology", str(path), "--field", "q"],
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"H~_{i} = 0" for i in range(-1, 14)]
+
+
 def _src_env():
     src = str(Path(srlab.__file__).resolve().parent.parent)
     return dict(os.environ,

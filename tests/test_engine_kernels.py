@@ -2,7 +2,10 @@
 
 Each engine kernel is compared value by value with the public modules,
 on every instance for n <= 5 and on seeded samples at n = 6 and 7; the
-N_{2,.} threshold and the chordless span on every instance for n <= 5.  A
+N_{2,.} threshold and full linearity on every instance for n <= 5 and on
+seeded samples at n = 6 and 7, and the chordless span on every instance
+for n <= 5.  The LinkTables and FlagTables the engines read are checked
+entry by entry against link_profile and clique-complex homology.  A
 theorem check that holds returns no clauses on either route, so
 comparing only whether a counterexample appeared cannot catch a wrong
 digest; these comparisons can.
@@ -10,21 +13,28 @@ digest; these comparisons can.
 
 from __future__ import annotations
 
+import random
+from math import comb
+
 import pytest
 
 from srlab import GF2, SearchSpace, enumerate_graphs, enumerate_pure_complexes
+from srlab import _engine
 from srlab._engine import (
     _SERRE_NONE,
     chordless_span_adj,
     codim2_engine,
     flag_dims,
+    flag_tables,
     level_hom,
+    link_tables,
+    orbit_reps,
     pure_space_engine,
 )
-from srlab.betti import check_ndp, hochster_betti
+from srlab.betti import FULL_LINEARITY, check_ndp, hochster_betti
 from srlab.complexes import alexander_dual
 from srlab.criteria import NO_VIOLATION, is_buchsbaum, link_profile, min_cm_t
-from srlab.graphs import chordless_span, clique_complex
+from srlab.graphs import Graph, chordless_span, clique_complex
 from srlab.harness import _mask_cover
 from srlab.homology import faces_by_size_from_masks, reduced_homology
 
@@ -104,7 +114,7 @@ def test_codim2_analyze_matches_generic(n):
         assert dims == reduced_homology(c, GF2).dims, (n, s)
 
 
-@pytest.mark.parametrize("n", range(3, 6))
+@pytest.mark.parametrize("n", range(3, 8))
 def test_ndp_threshold_matches_dual_ideal_betti(n):
     """Least t with N_{2, d-t} on the dual's ideal, against check_ndp on
     hochster_betti of the Alexander dual."""
@@ -117,6 +127,15 @@ def test_ndp_threshold_matches_dual_ideal_betti(n):
         assert eng.ndp_threshold(eng.dual_graph_mask(s), dims) == expected, (n, s)
 
 
+@pytest.mark.parametrize("n", range(3, 8))
+def test_linearity_data_matches_clique_ideal_betti(n):
+    """Full linearity of I_{clique(G)}, against check_ndp on its hochster_betti."""
+    eng = codim2_engine(n)
+    for e, g in graph_instances(n):
+        expected = check_ndp(hochster_betti(clique_complex(g), GF2, "ideal"), 2, FULL_LINEARITY)
+        assert eng.linearity_data(e)[0] == expected, (n, e)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_chordless_span_matches_graphs(n):
     for e, g in graph_instances(n):
@@ -124,3 +143,86 @@ def test_chordless_span_matches_graphs(n):
         assert chordless_span_adj(g.adj) == span, (n, e)
         lo, _ = chordless_span_adj(g.adj, early_min=True)
         assert lo == span[0], (n, e)
+
+
+# ---------------------------------------------------------------------------
+# the digest tables, entry by entry
+
+FULL_SLOTS = 10      # tables with at most this many slots are checked on every entry
+TABLE_SAMPLE = 1000  # seeded entries per larger table in the quick loop
+
+
+def _link_table_keys() -> list[tuple[int, int]]:
+    """(m, k) of every LinkTables the engines read: Codim2Engine(n) for
+    3 <= n <= 7 and each PureSpaceEngine(n, d) that cor-bk can route
+    (n <= 7, C(n-1, d-1) <= 15) read (n-1, d-1), which reads the tables
+    of its vertex links, one size down, to k = 1."""
+    tops = {(n - 1, n - 3) for n in range(4, 8)}
+    tops |= {(n - 1, d - 1) for n in range(2, 8) for d in range(2, n + 1)
+             if comb(n - 1, d - 1) <= 15}
+    return sorted({(m - i, k - i) for m, k in tops for i in range(k)})
+
+
+LINK_TABLE_KEYS = _link_table_keys()
+
+
+def _table_entries(slots: int, rep: list[int], seed: str, every: bool) -> list[int]:
+    """Every nonzero entry index, or a seeded sample above FULL_SLOTS slots;
+    a sample must mostly hit entries copied from an orbit representative."""
+    if every or slots <= FULL_SLOTS:
+        return list(range(1, 1 << slots))
+    sample = random.Random(seed).sample(range(1, 1 << slots), TABLE_SAMPLE)
+    assert sum(rep[s] != s for s in sample) > TABLE_SAMPLE // 2
+    return sample
+
+
+def _check_link_table(m: int, k: int, every: bool) -> None:
+    lt = link_tables(m, k)
+    for s in _table_entries(len(lt.slots), orbit_reps(m, k), f"link:{m}:{k}", every):
+        facets = tuple(f for i, f in enumerate(lt.slots) if s >> i & 1)
+        max_unclean, viol = link_profile(facets, GF2)
+        expected = (max_unclean, _SERRE_NONE if viol == NO_VIOLATION else viol)
+        assert (lt.maxbad[s], lt.serre[s]) == expected, (m, k, s)
+
+
+def _check_flag_table(w: int, every: bool) -> None:
+    ft = flag_tables(w)
+    slots = len(ft.pair_slots)
+    for e in _table_entries(slots, orbit_reps(w, 2), f"flag:{w}", every):
+        edges = [((p & -p).bit_length(), p.bit_length())
+                 for i, p in enumerate(ft.pair_slots) if e >> i & 1]
+        hv = reduced_homology(clique_complex(Graph(w, edges)), GF2)
+        expected = max((i for i, v in hv.as_dict().items() if i >= 1 and v), default=-1)
+        assert ft.nlmax[e] == expected, (w, e)
+
+
+def test_link_table_keys_cover_the_engines():
+    for n in range(3, 8):
+        codim2_engine(n)
+    for n in range(1, 8):
+        for d in range(1, n + 1):
+            if comb(n - 1, d - 1) <= 15:
+                pure_space_engine(n, d)
+    assert set(_engine._LINK_TABLES) <= set(LINK_TABLE_KEYS)
+    assert max(comb(m, k) for m, k in LINK_TABLE_KEYS) == 15
+
+
+@pytest.mark.parametrize("m, k", LINK_TABLE_KEYS)
+def test_link_tables_match_link_profile(m, k):
+    _check_link_table(m, k, every=False)
+
+
+@pytest.mark.parametrize("w", range(2, 7))
+def test_flag_tables_match_clique_homology(w):
+    _check_flag_table(w, every=False)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m, k", [key for key in LINK_TABLE_KEYS if comb(*key) > FULL_SLOTS])
+def test_link_tables_every_entry(m, k):
+    _check_link_table(m, k, every=True)
+
+
+@pytest.mark.slow
+def test_flag_tables_every_entry():
+    _check_flag_table(6, every=True)

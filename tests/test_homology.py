@@ -201,6 +201,15 @@ def _all_complex_facets(n):
                         if not any(g != f and g & f == f for g in faces))
 
 
+def _dims_by_elimination(facets, p):
+    """Reduced homology dims from _rank_exact on every boundary matrix."""
+    groups = faces_by_size_from_masks(facets)
+    ranks = [0] * (len(groups) + 1)
+    for s in range(1, len(groups)):
+        ranks[s] = _rank_exact(_signed_boundary_rows(groups[s - 1], groups[s]), p)
+    return tuple(len(g) - ranks[s] - ranks[s + 1] for s, g in enumerate(groups))
+
+
 class TestRankExact:
     @pytest.mark.parametrize("p", [0, 3, 5, 7])
     def test_matches_reference_on_random_matrices(self, p):
@@ -225,12 +234,7 @@ class TestRankExact:
         # every complex on 5 vertices; fewer vertices are these plus unused ones
         count = 0
         for facets in _all_complex_facets(5):
-            groups = faces_by_size_from_masks(facets)
-            ranks = [0] * (len(groups) + 1)
-            for s in range(1, len(groups)):
-                ranks[s] = _rank_exact(_signed_boundary_rows(groups[s - 1], groups[s]), 2)
-            dims = tuple(len(g) - ranks[s] - ranks[s + 1] for s, g in enumerate(groups))
-            assert dims == dims_gf2(facets), facets
+            assert _dims_by_elimination(facets, 2) == dims_gf2(facets), facets
             count += 1
         assert count == 7580  # Dedekind number M(5) = 7581, less the void complex
 
@@ -238,3 +242,29 @@ class TestRankExact:
         facets = tuple(((1 << 11) - 1) ^ (1 << v) for v in range(11))
         dims = dims_over_field(facets, QQ)
         assert dims[10] == 1 and sum(dims) == 1  # H~_9 = 1, index 0 is degree -1
+
+
+class TestConeClosedForm:
+    def test_every_cone_on_five_vertices(self):
+        # facets sharing a vertex: dims_over_field answers without elimination
+        count = 0
+        for facets in _all_complex_facets(5):
+            apex = facets[0]
+            for f in facets:
+                apex &= f
+            if not apex:
+                continue
+            for field in (GF2, FieldSpec.gf(3), QQ):
+                dims = dims_over_field(facets, field)
+                assert dims == _dims_by_elimination(facets, field.key), (facets, field)
+                assert not any(dims), (facets, field)
+            count += 1
+        # inclusion-exclusion over apex sets S, |S| = j: the cones with every
+        # facet containing S are the nonvoid complexes on the other 5 - j
+        # vertices, M(5 - j) - 1 of them (Dedekind numbers 7581, 168, 20, 6, 3, 2)
+        assert count == 5 * 167 - 10 * 19 + 10 * 5 - 5 * 2 + 1 == 686
+
+    def test_non_cones_still_eliminate(self):
+        # the boundary of a triangle shares no vertex: H~_1 = 1
+        assert dims_over_field((0b011, 0b101, 0b110), QQ) == (0, 0, 1)
+        assert dims_over_field((0,), FieldSpec.gf(3)) == (1,)
