@@ -37,15 +37,14 @@ def bits_of(mask: int) -> list[int]:
     return out
 
 
+def pick(items: list, mask: int) -> list:
+    """The items at the set bits of ``mask``, in order (decodes a slot mask)."""
+    return [items[b.bit_length() - 1] for b in bits_of(mask)]
+
+
 def submasks_one_less(mask: int) -> list[int]:
     """All masks obtained by clearing exactly one set bit."""
-    out = []
-    m = mask
-    while m:
-        b = m & -m
-        out.append(mask ^ b)
-        m ^= b
-    return out
+    return [mask ^ b for b in bits_of(mask)]
 
 
 def compress_map(occupied: int) -> dict[int, int]:
@@ -58,6 +57,19 @@ def compress_map(occupied: int) -> dict[int, int]:
         occupied ^= b
         i += 1
     return table
+
+
+def remap(masks, table: dict[int, int]) -> list[int]:
+    """Each mask with every set bit b replaced by ``table[b]``."""
+    out = []
+    for m in masks:
+        c = 0
+        while m:
+            b = m & -m
+            c |= table[b]
+            m ^= b
+        out.append(c)
+    return out
 
 
 def compress_masks(masks) -> tuple[tuple[int, ...], int]:
@@ -73,17 +85,38 @@ def compress_masks(masks) -> tuple[tuple[int, ...], int]:
     k = occ.bit_count()
     if occ == (1 << k) - 1:
         return tuple(sorted(masks)), k
-    table = compress_map(occ)
-    out = []
-    for m in masks:
-        c = 0
-        mm = m
-        while mm:
-            b = mm & -mm
-            c |= table[b]
-            mm ^= b
-        out.append(c)
-    return tuple(sorted(out)), k
+    return tuple(sorted(remap(masks, compress_map(occ)))), k
+
+
+def face_closure(masks) -> set[int]:
+    """The given masks and all their subsets (empty when none are given)."""
+    faces = set(masks)
+    stack = list(faces)
+    while stack:
+        f = stack.pop()
+        m = f
+        while m:
+            b = m & -m
+            m ^= b
+            sub = f ^ b
+            if sub not in faces:
+                faces.add(sub)
+                stack.append(sub)
+    return faces
+
+
+def faces_by_size_from_masks(facets: tuple[int, ...]) -> list[list[int]]:
+    """All faces of the complex generated by ``facets``, grouped by size,
+    each group sorted; the empty face is always included."""
+    faces = face_closure(facets)
+    faces.add(0)
+    top = max(f.bit_count() for f in facets) if facets else 0
+    groups: list[list[int]] = [[] for _ in range(top + 1)]
+    for f in faces:
+        groups[f.bit_count()].append(f)
+    for g in groups:
+        g.sort()
+    return groups
 
 
 def antichain(masks) -> tuple[int, ...]:

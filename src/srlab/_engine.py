@@ -1,32 +1,40 @@
-"""Table-accelerated GF(2) fast path for the exhaustive harness runs.
+"""Table-accelerated GF(2) digests for the exhaustive harness runs.
 
 The public modules remain the source of mathematical truth; this module
 memoizes their answers over whole enumeration families so the labeled
-exhaustive searches (millions of instances) finish in minutes on one
-core.  tests/test_engine_kernels.py compares the engine's digests (face
-closure, clique-complex homology, adjacency and cover filters, min CM_t
-and homology dims) with the generic route on every instance for n <= 5
-and on seeded samples at n = 6 and 7, and the N_{2,.} threshold and the
-chordless span on every instance for n <= 5.  tests/test_orbits.py
-checks that every digest is invariant under relabeling the vertices.
+exhaustive searches (millions of instances) finish in seconds on one
+core.  It decides no theorem: the harness applies one clause function
+per theorem to digests (min CM_t, Serre violation, homology dims, the
+N_{2,.} threshold, Buchsbaum, depth, full linearity) that come either
+from these engines or from the public modules.  tests/test_harness.py
+compares the two providers field by field, tests/test_engine_kernels.py
+compares the kernels and tables with the generic route, and
+tests/test_orbits.py checks that every digest is invariant under
+relabeling the vertices.
 
 Layout:
-  LevelHom     GF(2) homology from per-cardinality face bitmaps; face
-               closure, clique levels and boundary columns are table
-               reads (OR-folds and per-chunk column tuples).
-  OrFold       the OR of per-slot contributions over a slot mask, read
-               with one table lookup per 11-slot chunk; every
-               per-instance face-bitmap map here is one.
-  LinkTables   (max unclean size, Serre violation) digests for every
-               complex whose facets are k-subsets of [m], indexed by
-               facet-set mask; built bottom-up through vertex links.
-  FlagTables   homology digests of clique complexes of all graphs on
-               w <= 6 labeled vertices, indexed by edge-set mask.
-  Codim2Engine per-instance checks for the big theorem runs (pure
-               codimension-2 complexes and their dual graphs).
-  orbit_reps   least slot mask of each S_n-orbit of slot masks, by DFS
-               through two generator OrFolds; the harness checks one
-               instance per orbit in exhaustive spaces.
+  LevelHom        GF(2) homology from per-cardinality face bitmaps; face
+                  closure, clique levels and boundary columns are table
+                  reads (OR-folds and per-chunk column tuples).
+  OrFold          the OR of per-slot contributions over a slot mask, read
+                  with one table lookup per 11-slot chunk; every
+                  per-instance face-bitmap map here is one, and so is
+                  cover_filter, the instance filter of every route.
+  PureSpaceEngine digests of the pure complexes with d-subset facets on
+                  [n], by facet-set mask: homology, and the link digest
+                  from one packed fold over the vertex links.
+  LinkTables      (max unclean size, Serre violation) of every complex
+                  with k-subset facets on [m], by facet-set mask: each
+                  entry is a PureSpaceEngine digest over the tables one
+                  size down.
+  FlagTables      homology digests of clique complexes of all graphs on
+                  w <= 6 labeled vertices, indexed by edge-set mask.
+  Codim2Engine    a PureSpaceEngine for pure codimension-2 complexes and
+                  the graphs behind their duals: the dual's 1-skeleton,
+                  the N_{2,.} threshold, depth >= d-1 and full linearity.
+  orbit_reps      least slot mask of each S_n-orbit of slot masks, by DFS
+                  through two generator OrFolds; the harness checks one
+                  instance per orbit in exhaustive spaces.
 
 Every table entry depends only on the isomorphism class of its complex
 or graph, so LinkTables and FlagTables compute one entry per orbit and
@@ -34,19 +42,21 @@ copy it to the rest of the orbit.  Their orbit tables have at most 15
 slots (2^15 entries) and are built by the table constructors; the
 21-slot n = 7 orbit tables are built only when the harness asks for them.
 
-Two checks also verify combinatorial Alexander duality (H~_i of the
+Two digests also verify combinatorial Alexander duality (H~_i of the
 dual against H~_{n-i-3} of the complex) on every instance they analyze:
-``Codim2Engine.topin_clauses`` (through ``ndp_threshold``) and
-``Codim2Engine.main2_clauses``.  A failure raises EngineError, which the
-CLI maps to the internal-invariant exit code.  The other checks do not
-run it.
+``Codim2Engine.ndp_threshold`` (thm-topin's N_{2,.} threshold) and
+``Codim2Engine.clique_dual_cm`` when asked to (thm-main2).  A failure
+raises EngineError, which the CLI maps to the internal-invariant exit
+code.
 """
-
 from __future__ import annotations
 
+from functools import cache
 from math import factorial
+from typing import Callable
 
-from ._bits import size_subsets
+from ._bits import compress_map, remap, size_subsets
+from .graphs import reachable
 from .homology import rank_gf2_columns
 
 _SERRE_NONE = 99  # "no Serre violation anywhere" (dimensions here are < 99)
@@ -64,11 +74,11 @@ class LevelHom:
     """GF(2) homology machinery for subsets of a fixed ambient [n].
 
     levels[k] lists all k-subsets of {1..n} as masks (sorted); a set of
-    k-faces is a bitmap over positions in levels[k].  down[k][j] is the
-    boundary column of the j-th k-subset: the bitmap of its (k-1)-subsets.
-    Every per-instance face computation is a table read: boundary columns
-    are gathered from per-level tables of column tuples, one per 8-face
-    chunk, and face closure and clique levels are OR-folds over faces.
+    k-faces is a bitmap over positions in levels[k].  The boundary column
+    of a k-subset is the bitmap of its (k-1)-subsets.  Every per-instance
+    face computation is a table read: boundary columns are gathered from
+    per-level tables of column tuples, one per 8-face chunk, and face
+    closure and clique levels are OR-folds over faces.
     A fold's value packs one bitmap per level, level j at bit offset[j].
     """
 
@@ -79,30 +89,24 @@ class LevelHom:
         self.offset = [0]
         for level in levels:
             self.offset.append(self.offset[-1] + len(level))
-        self.down: list[list[int]] = [[]]
         self.col_chunks: list[list[list[tuple[int, ...]]]] = [[]]
         for k in range(1, n + 1):
             cols = [_subsets_bitmap(levels[k - 1], face) for face in levels[k]]
-            self.down.append(cols)
             self.col_chunks.append([_subset_tuples(cols[c:c + COL_BITS])
                                     for c in range(0, len(cols), COL_BITS)])
         # clique_fold(non-edges), level k >= 3: the k-sets containing a non-edge
         self.clique_fold = OrFold([self._pack(_supersets_bitmap, p, range(3, n + 1))
                                    for p in (levels[2] if n >= 2 else [])])
-        # closure_folds[k](k-faces), level j < k: their j-subsets; built per k
-        self._closure_folds: list[OrFold | None] = [None] * (n + 1)
 
     def _pack(self, bitmap_fn, face: int, ks) -> int:
         levels, offset = self.levels, self.offset
         return sum(bitmap_fn(levels[k], face) << offset[k] for k in ks)
 
+    @cache
     def closure_fold(self, k: int) -> OrFold:
-        """The fold from k-face bitmaps to all lower levels (built once)."""
-        fold = self._closure_folds[k]
-        if fold is None:
-            fold = self._closure_folds[k] = OrFold(
-                [self._pack(_subsets_bitmap, face, range(k)) for face in self.levels[k]])
-        return fold
+        """The fold from k-face bitmaps to all lower levels, level j < k
+        holding their j-subsets (built once per k)."""
+        return OrFold([self._pack(_subsets_bitmap, face, range(k)) for face in self.levels[k]])
 
     def closure(self, k: int, top_bitmap: int) -> list[int]:
         """Per-level face bitmaps of the pure complex on the flagged k-subsets."""
@@ -141,11 +145,6 @@ class LevelHom:
             cols += table[bitmap & COL_MASK]
             bitmap >>= COL_BITS
         return cols
-
-    def dims_pure(self, k: int, top_bitmap: int) -> tuple[int, ...]:
-        """Reduced homology dims (from degree -1) of the pure complex
-        generated by the k-subsets flagged in ``top_bitmap``."""
-        return self.dims_from_levels(self.closure(k, top_bitmap))
 
     def dims_from_levels(self, masks: list[int]) -> tuple[int, ...]:
         """Homology dims given per-level face bitmaps (masks[0] = 1 for the
@@ -189,14 +188,7 @@ def _subset_tuples(items: list[int]) -> list[tuple[int, ...]]:
     return table
 
 
-_LEVEL_HOMS: dict[int, LevelHom] = {}
-
-
-def level_hom(n: int) -> LevelHom:
-    lh = _LEVEL_HOMS.get(n)
-    if lh is None:
-        lh = _LEVEL_HOMS[n] = LevelHom(n)
-    return lh
+level_hom = cache(LevelHom)
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +236,60 @@ def _or_fold_table(contrib: list[int]) -> list[int]:
     return table
 
 
-def _compress_drop_vertex(mask: int, vbit: int) -> int:
-    """Shift out one vertex bit (mask must not contain it)."""
-    low = vbit - 1
-    return (mask & low) | ((mask >> 1) & ~low)
+@cache
+def cover_filter(n: int, k: int) -> Callable[[int], bool]:
+    """keep(s): the k-subsets of [n] flagged in slot mask ``s`` (over
+    size_subsets(n, k)) cover every vertex of [n].
+
+    The one instance filter of every route: every vertex a face for
+    facet sets, no isolated vertex for edge sets (k = 2).  One OR-fold
+    per (n, k), built once.
+    """
+    fold = OrFold(size_subsets(n, k))
+    full = (1 << n) - 1
+    if len(fold.tables) > 2:
+        return lambda s: fold.value(s) == full
+    lo, hi = fold.lo, fold.hi
+    return lambda s: lo[s & FOLD_MASK] | hi[s >> FOLD_BITS] == full
 
 
-def _link_contrib(slots: list[int], child_index: dict[int, int], v: int) -> list[int]:
-    """Per facet slot: the child facet-set bit of its trace in the link of
-    vertex v+1 (0 for facets missing v+1), over the child's slots on [m-1]."""
-    vbit = 1 << v
-    return [1 << child_index[_compress_drop_vertex(f ^ vbit, vbit)] if f & vbit else 0
-            for f in slots]
+def _link_fold(slots: list[int], m: int, child: "LinkTables") -> OrFold:
+    """The vertex-link map of a facet-set mask over ``slots`` (k-subsets
+    of [m]): its value packs, for each vertex v+1 of [m], the child-table
+    mask of the link of v+1 at bit v * len(child.slots) (0 when no facet
+    contains v+1)."""
+    index = {mask: i for i, mask in enumerate(child.slots)}
+    width = len(child.slots)
+    contrib = [0] * len(slots)
+    for v in range(m):
+        vbit = 1 << v
+        # the facets through v+1, less v+1, relabeled onto [m - 1]
+        inside = [i for i, f in enumerate(slots) if f & vbit]
+        links = remap([slots[i] ^ vbit for i in inside], compress_map(((1 << m) - 1) ^ vbit))
+        for i, f in zip(inside, links):
+            contrib[i] |= 1 << (v * width + index[f])
+    return OrFold(contrib)
+
+
+def _combine_links(child: "LinkTables", packed: int, mb: int, sv: int) -> tuple[int, int]:
+    """Fold the child digests of the links packed by a ``_link_fold`` into
+    (max unclean size, Serre violation): a face unclean in the link of a
+    vertex is one larger in the complex."""
+    width = len(child.slots)
+    full = (1 << width) - 1
+    maxbad = child.maxbad
+    serre = child.serre
+    while packed:
+        lm = packed & full
+        packed >>= width
+        if lm:
+            c = maxbad[lm]
+            if c >= 0 and c + 1 > mb:
+                mb = c + 1
+            c = serre[lm]
+            if c < sv:
+                sv = c
+    return mb, sv
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +299,18 @@ def _link_contrib(slots: list[int], child_index: dict[int, int], v: int) -> list
 def _relabel_fold(slots: list[int], perm: list[int]) -> OrFold:
     """The slot permutation induced by the vertex permutation v -> perm[v]."""
     index = {mask: i for i, mask in enumerate(slots)}
-    contrib = []
-    for f in slots:
-        image = 0
-        for v, pv in enumerate(perm):
-            if f >> v & 1:
-                image |= 1 << pv
-        contrib.append(1 << index[image])
-    return OrFold(contrib)
+    images = remap(slots, {1 << v: 1 << pv for v, pv in enumerate(perm)})
+    return OrFold([1 << index[image] for image in images])
 
 
-def _orbit_table(n: int, k: int) -> list[int]:
+@cache
+def orbit_reps(n: int, k: int) -> list[int]:
+    """rep[s] = the least slot mask in the S_n-orbit of s, where slot masks
+    are sets of k-subsets of [n] over size_subsets(n, k) (built once).
+
+    LinkTables and FlagTables build the tables of at most 15 slots they
+    read; the harness builds the rest (up to 21 slots) lazily.
+    """
     slots = size_subsets(n, k)
     if len(slots) > 2 * FOLD_BITS:
         raise ValueError(f"orbit tables need at most {2 * FOLD_BITS} slots, "
@@ -315,23 +350,6 @@ def _orbit_table(n: int, k: int) -> list[int]:
     return rep
 
 
-_ORBIT_TABLES: dict[tuple[int, int], list[int]] = {}
-
-
-def orbit_reps(n: int, k: int) -> list[int]:
-    """rep[s] = the least slot mask in the S_n-orbit of s, where slot masks
-    are sets of k-subsets of [n] over size_subsets(n, k) (built once).
-
-    LinkTables and FlagTables build the tables of at most 15 slots they
-    read; the harness builds the rest (up to 21 slots) lazily.
-    """
-    key = (n, k)
-    rep = _ORBIT_TABLES.get(key)
-    if rep is None:
-        rep = _ORBIT_TABLES[key] = _orbit_table(n, k)
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # link profile tables
 
@@ -342,9 +360,10 @@ class LinkTables:
     Index = facet-set mask over size_subsets(m, k).  max_unclean is the
     largest size of a face whose link has homology below its dimension
     (-1 if none); serre_viol is the smallest degree violating a Serre
-    bound anywhere (=_SERRE_NONE if none).  Built bottom-up: entry
-    digests combine the complex's own homology with the digests of its
-    vertex links, which live one table down.  Both digests depend only
+    bound anywhere (=_SERRE_NONE if none).  Built bottom-up: an entry is
+    ``PureSpaceEngine(m, k).analyze_full``, which combines the complex's
+    own homology with the digests of its vertex links, which live one
+    table down.  Both digests depend only
     on the isomorphism class, so one entry per S_m-orbit is computed
     (at orbit_reps(m, k)) and every other entry copies its
     representative's; the engines need at most 15 slots here.
@@ -363,15 +382,7 @@ class LinkTables:
         if k == 1:
             return  # point sets: 0-dimensional, always clean everywhere
 
-        child = link_tables(m - 1, k - 1)
-        child_index = {mask: i for i, mask in enumerate(child.slots)}
-        # ext[v].value(s) = child facet-set mask of the link of vertex v+1 in s
-        ext = [OrFold(_link_contrib(self.slots, child_index, v)) for v in range(m)]
-
-        lh = level_hom(m)
-        cmaxbad = child.maxbad
-        cserre = child.serre
-        dims_pure = lh.dims_pure
+        eng = PureSpaceEngine(m, k)
         rep = orbit_reps(m, k)
         for s in range(1, size):
             r = rep[s]
@@ -379,26 +390,8 @@ class LinkTables:
                 maxbad[s] = maxbad[r]
                 serre[s] = serre[r]
                 continue
-            dims = dims_pure(k, s)
-            mb = -1
-            sv = _SERRE_NONE
-            for i in range(k - 1):  # degrees below the (pure) top dimension
-                if dims[i + 1]:
-                    sv = i
-                    mb = 0
-                    break
-            for fold in ext:
-                lm = fold.value(s)
-                if not lm:
-                    continue
-                cm = cmaxbad[lm]
-                if cm >= 0 and cm + 1 > mb:
-                    mb = cm + 1
-                cs = cserre[lm]
-                if cs < sv:
-                    sv = cs
-            maxbad[s] = mb
-            serre[s] = sv
+            t_cm, serre[s], _, _ = eng.analyze_full(s)
+            maxbad[s] = t_cm - 1
 
 
 _LINK_TABLES: dict[tuple[int, int], LinkTables] = {}
@@ -454,70 +447,11 @@ class FlagTables:
         self.nlmax = nlmax
 
 
-_FLAG_TABLES: dict[int, FlagTables] = {}
-
-
-def flag_tables(w: int) -> FlagTables:
-    ft = _FLAG_TABLES.get(w)
-    if ft is None:
-        ft = _FLAG_TABLES[w] = FlagTables(w)
-    return ft
+flag_tables = cache(FlagTables)
 
 
 # ---------------------------------------------------------------------------
-# chordless cycle scan (iterative, bitmask state)
-
-
-def chordless_span_adj(adj: tuple[int, ...], early_min: bool = False) -> tuple[int, int]:
-    """(min, max) chordless cycle length, (0, 0) if chordal.
-
-    ``early_min`` returns as soon as a 4-cycle is seen (nothing shorter
-    exists), reporting (4, 4); use only when the max is not needed.
-    """
-    n = len(adj)
-    lo = hi = 0
-    for s in range(n):
-        sbit = 1 << s
-        above = -(sbit << 1)
-        adj_s = adj[s]
-        stack = []
-        m = adj_s & above
-        while m:
-            b = m & -m
-            m ^= b
-            stack.append(((s, b.bit_length() - 1), sbit | b, 0))
-        while stack:
-            path, pmask, banned = stack.pop()
-            end = path[-1]
-            cand = adj[end] & above & ~pmask & ~banned
-            if len(path) >= 3:
-                closing = cand & adj_s
-                mm = closing
-                while mm:
-                    b = mm & -mm
-                    mm ^= b
-                    w = b.bit_length() - 1
-                    if path[1] < w:
-                        k = len(path) + 1
-                        if not lo or k < lo:
-                            lo = k
-                        if k > hi:
-                            hi = k
-                        if early_min and k == 4:
-                            return 4, 4
-            if len(path) + 2 > n:
-                continue
-            new_banned = banned | (adj[end] & above)
-            mm = cand & ~adj_s
-            while mm:
-                b = mm & -mm
-                mm ^= b
-                stack.append((path + (b.bit_length() - 1,), pmask | b, new_banned))
-    return lo, hi
-
-
-# ---------------------------------------------------------------------------
-# the codimension-2 engine
+# the engines: digest kernels over facet-set and edge-set masks
 
 
 def _check_duality(dims_c: tuple[int, ...], dims_dual: tuple[int, ...], n: int) -> None:
@@ -532,32 +466,64 @@ def _check_duality(dims_c: tuple[int, ...], dims_dual: tuple[int, ...], n: int) 
             )
 
 
-class Codim2Engine:
-    """Fast checks on pure (n-3)-dimensional complexes on [n] (and the
-    graphs behind their duals).  GF(2) only; n <= 7 by table feasibility."""
+class PureSpaceEngine:
+    """Digest kernels for the pure complexes whose facets are d-subsets of
+    [n], indexed by facet-set mask: homology, the link digest and the
+    Buchsbaum gate.  GF(2) only; Codim2Engine extends it."""
+
+    def __init__(self, n: int, d: int):
+        self.n = n
+        self.d = d
+        self.lh = level_hom(n)
+        self.lh.closure_fold(d)
+        self.facet_slots = self.lh.levels[d]
+        if d >= 2:
+            self.lt = link_tables(n - 1, d - 1)
+            self.link_fold = _link_fold(self.facet_slots, n, self.lt)
+        else:  # 0-dimensional: every vertex link is the irrelevant complex
+            self.lt = None
+            self.link_fold = None
+
+    def link_digest(self, s: int, mb: int = -1, sv: int = _SERRE_NONE) -> tuple[int, int]:
+        """(max unclean size, Serre violation) over nonempty faces, folded
+        into the given (mb, sv)."""
+        if self.lt is None:
+            return mb, sv
+        return _combine_links(self.lt, self.link_fold.value(s), mb, sv)
+
+    def is_buchsbaum(self, s: int) -> bool:
+        """CM_1: every vertex link is Cohen-Macaulay."""
+        return self.link_digest(s)[0] < 0
+
+    def analyze_full(self, s: int) -> tuple[int, int, tuple[int, ...], list[int]]:
+        """(min_cm_t, serre_viol, homology dims, level bitmaps) of the instance complex."""
+        levels = self.lh.closure(self.d, s)
+        dims = self.lh.dims_from_levels(levels)
+        mb = -1
+        sv = _SERRE_NONE
+        for i in range(self.d - 1):  # below the top degree: the empty face is unclean
+            if dims[i + 1]:
+                mb = 0
+                sv = i
+                break
+        mb, sv = self.link_digest(s, mb, sv)
+        return mb + 1, sv, dims, levels
+
+
+pure_space_engine = cache(PureSpaceEngine)
+
+
+class Codim2Engine(PureSpaceEngine):
+    """Digest kernels for pure (n-3)-dimensional complexes on [n] and the
+    graphs behind their duals.  GF(2) only; n <= 7 by table feasibility."""
 
     def __init__(self, n: int):
         if n < 3 or n > 7:
             raise ValueError("codim-2 engine supports 3 <= n <= 7")
-        self.n = n
-        self.d = d = n - 2
-        self.lh = level_hom(n)
-        self.lh.closure_fold(d)
-        self.facet_slots = self.lh.levels[d]
+        super().__init__(n, n - 2)
         self.pair_slots = self.lh.levels[2]
-        K = len(self.facet_slots)  # C(n, 2) <= 2 * FOLD_BITS: every fold reads inline
-        self.K = K
-        self.full = (1 << K) - 1
-
-        # vertex-link extraction into the (n-1, d-1) digest tables
-        if d >= 2:
-            self.lt = link_tables(n - 1, d - 1)
-            child_index = {mask: i for i, mask in enumerate(self.lt.slots)}
-            self.linkmaps = [OrFold(_link_contrib(self.facet_slots, child_index, v))
-                             for v in range(n)]
-        else:
-            self.lt = None
-            self.linkmaps = []
+        # C(n, 2) <= 2 * FOLD_BITS facet slots: every fold reads inline
+        self.full = (1 << len(self.facet_slots)) - 1
 
         # facet-slot <-> complement-pair-slot permutations
         pair_index = {mask: i for i, mask in enumerate(self.pair_slots)}
@@ -565,11 +531,7 @@ class Codim2Engine:
         nfull = (1 << n) - 1
         self.f2e = OrFold([1 << pair_index[nfull ^ f] for f in self.facet_slots])
         self.e2f = OrFold([1 << facet_index[nfull ^ p] for p in self.pair_slots])
-        self.pair_ends = [((p & -p).bit_length() - 1, (p ^ (p & -p)).bit_length() - 1)
-                          for p in self.pair_slots]
-        # vertices touched by a facet set / an edge set; neighbours of each vertex
-        self.facet_cover = OrFold(self.facet_slots)
-        self.edge_cover = OrFold(self.pair_slots)
+        # neighbours of each vertex
         self.nbr_folds = [(fold.lo, fold.hi) for fold in (
             OrFold([p ^ (1 << v) if p >> v & 1 else 0 for p in self.pair_slots])
             for v in range(n))]
@@ -585,9 +547,10 @@ class Codim2Engine:
                                     for k in range(min(w, 3) + 1)]
 
         # per-W restriction maps of graph edge masks into FlagTables spaces,
-        # for the sizes w whose clique complexes can have H~_{>=1} at all
-        # (none for w <= 3: such a map could never give a nonlinear term)
-        self.restmaps: list[tuple[OrFold, int, list[int]]] = []
+        # as (fold.lo, fold.hi, w, nlmax), for the sizes w whose clique
+        # complexes can have H~_{>=1} at all (none for w <= 3: such a map
+        # could never give a nonlinear term)
+        self.restmaps: list[tuple[list[int], list[int], int, list[int]]] = []
         for wmask in range(1, 1 << n):
             w = wmask.bit_count()
             if w < 2 or w == n:
@@ -596,77 +559,13 @@ class Codim2Engine:
             if max(ft.nlmax) < 1:
                 continue
             sub_index = {mask: i for i, mask in enumerate(ft.pair_slots)}
-            comp = {}
-            i = 0
-            mm = wmask
-            while mm:
-                b = mm & -mm
-                mm ^= b
-                comp[b.bit_length() - 1] = i
-                i += 1
-            contrib = []
-            for (u, v) in self.pair_ends:
-                if (1 << u) & wmask and (1 << v) & wmask:
-                    pm = (1 << comp[u]) | (1 << comp[v])
-                    contrib.append(1 << sub_index[pm])
-                else:
-                    contrib.append(0)
-            self.restmaps.append((OrFold(contrib), w, ft.nlmax))
+            inside = [p for p in self.pair_slots if p & wmask == p]
+            image = dict(zip(inside, remap(inside, compress_map(wmask))))
+            contrib = [1 << sub_index[image[p]] if p in image else 0 for p in self.pair_slots]
+            fold = OrFold(contrib)
+            self.restmaps.append((fold.lo, fold.hi, w, ft.nlmax))
 
-    # -- shared per-instance pieces ---------------------------------------
-
-    def decode_facets(self, s: int) -> list[int]:
-        slots = self.facet_slots
-        out = []
-        while s:
-            b = s & -s
-            s ^= b
-            out.append(slots[b.bit_length() - 1])
-        return out
-
-    def covers(self, s: int) -> bool:
-        fold = self.facet_cover
-        return fold.lo[s & FOLD_MASK] | fold.hi[s >> FOLD_BITS] == self.lh.full[1]
-
-    def link_digest(self, s: int) -> tuple[int, int]:
-        """(max unclean size, Serre violation) over nonempty faces only."""
-        if self.lt is None:
-            return (-1, _SERRE_NONE)
-        mb = -1
-        sv = _SERRE_NONE
-        cmaxbad = self.lt.maxbad
-        cserre = self.lt.serre
-        lo_s = s & FOLD_MASK
-        hi_s = s >> FOLD_BITS
-        for fold in self.linkmaps:
-            lm = fold.lo[lo_s] | fold.hi[hi_s]
-            if not lm:
-                continue
-            c = cmaxbad[lm]
-            if c >= 0 and c + 1 > mb:
-                mb = c + 1
-            c = cserre[lm]
-            if c < sv:
-                sv = c
-        return mb, sv
-
-    def analyze(self, s: int) -> tuple[int, int, tuple[int, ...]]:
-        """(min_cm_t, serre_viol, homology dims) of the instance complex."""
-        t_cm, sv, dims, _ = self.analyze_full(s)
-        return t_cm, sv, dims
-
-    def analyze_full(self, s: int) -> tuple[int, int, tuple[int, ...], list[int]]:
-        levels = self.lh.closure(self.d, s)
-        dims = self.lh.dims_from_levels(levels)
-        mb, sv = self.link_digest(s)
-        for i in range(self.d - 1):
-            if dims[i + 1]:
-                if sv > i:
-                    sv = i
-                if mb < 0:
-                    mb = 0
-                break
-        return mb + 1, sv, dims, levels
+    # -- complex digests (instances are facet masks) -----------------------
 
     def adj_of_edges(self, gmask: int) -> tuple[int, ...]:
         lo_g = gmask & FOLD_MASK
@@ -691,8 +590,8 @@ class Codim2Engine:
         istar = _SERRE_NONE
         lo_g = gmask & FOLD_MASK
         hi_g = gmask >> FOLD_BITS
-        for fold, w, nlmax in self.restmaps:
-            nl = nlmax[fold.lo[lo_g] | fold.hi[hi_g]]
+        for lo, hi, w, nlmax in self.restmaps:
+            nl = nlmax[lo[lo_g] | hi[hi_g]]
             if nl >= 1:
                 cand = w - nl - 2
                 if cand < istar:
@@ -711,42 +610,6 @@ class Codim2Engine:
             return 0
         return max(0, self.d - istar)
 
-    # -- theorem checks ----------------------------------------------------
-
-    def topin_clauses(self, s: int) -> list[str]:
-        """Equality of the four CM_t thresholds (CM_t / N_{2,d-t} / S_{d-t} /
-        chord condition at d-t+2); empty list when the theorem holds."""
-        t_cm, sv, dims = self.analyze(s)
-        t_serre = max(0, self.d - 1 - sv)
-        gmask = self.dual_graph_mask(s)
-        t_ndp = self.ndp_threshold(gmask, dims)
-        mc, _ = chordless_span_adj(self.adj_of_edges(gmask), early_min=True)
-        t_chord = max(0, self.d + 3 - mc) if mc else 0
-        if t_cm == t_ndp == t_serre == t_chord:
-            return []
-        return [
-            f"threshold mismatch: cm_t from {t_cm}, N(2,d-t) from {t_ndp}, "
-            f"S(d-t) from {t_serre}, chord condition from {t_chord}"
-        ]
-
-    def chardepth_clauses(self, s: int) -> list[str]:
-        """Buchsbaum codim-2: depth >= d-1, and non-CM iff dual skeleton is
-        the full cycle."""
-        if self.lt is not None:
-            mb, _ = self.link_digest(s)
-            if mb > 0:
-                return []  # not Buchsbaum: premise fails
-        t_cm, _, dims, levels = self.analyze_full(s)
-        clauses = []
-        gmask = self.dual_graph_mask(s)
-        adj = self.adj_of_edges(gmask)
-        cyc = self.n >= 3 and all(a.bit_count() == 2 for a in adj) and _connected(adj)
-        if (t_cm > 0) != cyc:
-            clauses.append(f"non-CM={t_cm > 0} but dual-skeleton-is-cycle={cyc}")
-        if not self._projdim_at_most_3(dims, levels):
-            clauses.append(f"depth {self._depth(s)} < d-1 = {self.d - 1}")
-        return clauses
-
     def _projdim_at_most_3(self, dims: tuple[int, ...], levels: list[int]) -> bool:
         """projdim K[Delta] <= 3, i.e. depth >= d-1 (cover assumed).
 
@@ -761,41 +624,19 @@ class Codim2Engine:
         for deg in range(0, n - 4):
             if dims[deg + 1]:
                 return False
-        if not self.inside_w:
-            return True
         columns = self.lh.boundary_columns
         for wmask, inside in self.inside_w.items():
-            w = wmask.bit_count()
             edges = levels[2] & inside[2]
-            adjl = self.adj_of_edges(edges)
-            start = wmask & -wmask
-            seen = start
-            frontier = start
-            while frontier:
-                nxt = 0
-                mm = frontier
-                while mm:
-                    b = mm & -mm
-                    mm ^= b
-                    nxt |= adjl[b.bit_length() - 1]
-                frontier = nxt & ~seen
-                seen |= nxt
-            if seen != wmask:
+            if reachable(self.adj_of_edges(edges), wmask & -wmask) != wmask:
                 return False  # restriction disconnected: H~_0 != 0
+            w = wmask.bit_count()
             if w >= 6:
                 tris = levels[3] & inside[3]
                 if edges.bit_count() - (w - 1) - rank_gf2_columns(columns(3, tris)):
                     return False  # H~_1 of the restriction is nonzero
         return True
 
-    def _depth(self, s: int) -> int:
-        from .betti import hochster_betti, homological_invariants
-        from .complexes import Complex
-
-        c = Complex(self.n, tuple(self.decode_facets(s)), _trusted=True)
-        return homological_invariants(hochster_betti(c, subject="ring")).depth
-
-    # -- graph-space checks (instances are edge masks of G) ----------------
+    # -- graph digests (instances are edge masks of G) ---------------------
 
     def dual_of_clique_mask(self, e: int) -> int:
         """Facet mask of (clique complex of G)^dual: complements of non-edges."""
@@ -803,148 +644,28 @@ class Codim2Engine:
         t = self.full ^ e
         return fold.lo[t & FOLD_MASK] | fold.hi[t >> FOLD_BITS]
 
-    def graph_no_isolated(self, e: int) -> bool:
-        fold = self.edge_cover
-        return fold.lo[e & FOLD_MASK] | fold.hi[e >> FOLD_BITS] == self.lh.full[1]
-
-    def main2_clauses(self, e: int) -> list[str]:
-        """dual(clique(G)) is CM_{n-r} iff every cycle of length <= r has a
-        chord, for all r in [3, n]."""
+    def clique_dual_cm(self, e: int, check_duality: bool) -> int | None:
+        """min CM_t of the Alexander dual of clique(G), None when that dual
+        is void (G complete).  With ``check_duality`` the dual's homology
+        is checked against the homology of clique(G) on the way."""
         s_dual = self.dual_of_clique_mask(e)
         if not s_dual:
-            return []  # complete graph: dual void, CM_t for all t; chordal
-        t_cm, _, dims_dual_cx = self.analyze(s_dual)
-        adj = self.adj_of_edges(e)
-        mc, _ = chordless_span_adj(adj, early_min=True)
-        t_chord = max(0, self.n - mc + 1) if mc else 0
-        _check_duality(flag_dims(e, self.n), dims_dual_cx, self.n)
-        if t_cm == t_chord:
-            return []
-        return [f"min t with CM_t = {t_cm} but chord threshold = {t_chord}"]
+            return None
+        t_cm, _, dims_dual, _ = self.analyze_full(s_dual)
+        if check_duality:
+            _check_duality(flag_dims(e, self.n), dims_dual, self.n)
+        return t_cm
 
-    def linearity_data(self, e: int) -> tuple[bool, int, int]:
-        """(I_{clique(G)} fully linear, min chordless len, max chordless len)."""
-        istar = _SERRE_NONE
+    def linearity_data(self, e: int) -> bool:
+        """Whether I_{clique(G)} has a linear resolution: no restriction of
+        clique(G), the whole included, has homology in a degree >= 1."""
         lo_e = e & FOLD_MASK
         hi_e = e >> FOLD_BITS
-        for fold, w, nlmax in self.restmaps:
-            nl = nlmax[fold.lo[lo_e] | fold.hi[hi_e]]
-            if nl >= 1:
-                istar = 1  # any nonlinear term breaks full linearity
-                break
-        full_linear = istar >= _SERRE_NONE
-        if full_linear:
-            dims_g = flag_dims(e, self.n)
-            for deg in range(1, len(dims_g) - 1):
-                if dims_g[deg + 1]:
-                    full_linear = False
-                    break
-        lo, hi = chordless_span_adj(self.adj_of_edges(e))
-        return full_linear, lo, hi
-
-    def corlinear_clauses(self, e: int) -> list[str]:
-        s_dual = self.dual_of_clique_mask(e)
-        full_linear, lo, hi = self.linearity_data(e)
-        if not s_dual:
-            return []  # complete graph: empty ideal, vacuously linear and CM
-        t_cm, _, _ = self.analyze(s_dual)
-        clauses = []
-        for r in range(3, self.n + 1):
-            if hi > r:
-                continue  # G not r-chordal: premise fails
-            cm = self.n - r >= t_cm
-            if cm != full_linear:
-                clauses.append(f"r={r}: CM_(n-r)={cm} but linear-resolution={full_linear}")
-        return clauses
-
-    def froberg_clauses(self, e: int) -> list[str]:
-        full_linear, lo, _ = self.linearity_data(e)
-        chordal = lo == 0
-        if full_linear == chordal:
-            return []
-        return [f"linear-resolution={full_linear} but chordal={chordal}"]
-
-    # -- pure-space check reused by cor-bk ---------------------------------
-
-
-def _connected(adj: tuple[int, ...]) -> bool:
-    n = len(adj)
-    if n == 0:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            b = m & -m
-            m ^= b
-            nxt |= adj[b.bit_length() - 1]
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == (1 << n) - 1
-
-
-_ENGINES: dict[int, Codim2Engine] = {}
-
-
-def codim2_engine(n: int) -> Codim2Engine:
-    eng = _ENGINES.get(n)
-    if eng is None:
-        eng = _ENGINES[n] = Codim2Engine(n)
-    return eng
-
-
-class PureSpaceEngine:
-    """Buchsbaum-gated scans over arbitrary pure (n, d) spaces (cor-bk)."""
-
-    def __init__(self, n: int, d: int):
-        self.n = n
-        self.d = d
-        self.lh = level_hom(n)
-        self.lh.closure_fold(d)
-        self.facet_slots = self.lh.levels[d]
-        self.facet_cover = OrFold(self.facet_slots)
-        if d >= 2:
-            self.lt = link_tables(n - 1, d - 1)
-            child_index = {mask: i for i, mask in enumerate(self.lt.slots)}
-            self.linkmaps = [OrFold(_link_contrib(self.facet_slots, child_index, v))
-                             for v in range(n)]
-        else:
-            self.lt = None
-            self.linkmaps = []
-
-    def covers(self, s: int) -> bool:
-        return self.facet_cover.value(s) == self.lh.full[1]
-
-    def is_buchsbaum(self, s: int) -> bool:
-        if self.lt is None:
-            return True  # 0-dimensional: every vertex link is irrelevant
-        cmaxbad = self.lt.maxbad
-        for fold in self.linkmaps:
-            lm = fold.value(s)
-            if lm and cmaxbad[lm] >= 0:
+        for lo, hi, _, nlmax in self.restmaps:
+            if nlmax[lo[lo_e] | hi[hi_e]] >= 1:
                 return False
-        return True
-
-    def corbk_clauses(self, s: int) -> list[str]:
-        """Buchsbaum with H~_i != 0 for some i >= 1 forces n >= 2d - i."""
-        if not self.is_buchsbaum(s):
-            return []
-        dims = self.lh.dims_pure(self.d, s)
-        clauses = []
-        for i in range(1, len(dims) - 1):
-            if dims[i + 1] and self.n < 2 * self.d - i:
-                clauses.append(f"H_{i} != 0 but n = {self.n} < 2d - i = {2 * self.d - i}")
-        return clauses
+        dims_g = flag_dims(e, self.n)
+        return not any(dims_g[deg + 1] for deg in range(1, len(dims_g) - 1))
 
 
-_PURE_ENGINES: dict[tuple[int, int], PureSpaceEngine] = {}
-
-
-def pure_space_engine(n: int, d: int) -> PureSpaceEngine:
-    key = (n, d)
-    eng = _PURE_ENGINES.get(key)
-    if eng is None:
-        eng = _PURE_ENGINES[key] = PureSpaceEngine(n, d)
-    return eng
+codim2_engine = cache(Codim2Engine)

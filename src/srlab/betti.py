@@ -104,11 +104,8 @@ def hochster_betti(
                 ideal[key] = ideal.get(key, 0) + value
 
     dim_ring = 0 if c.dim is None else c.dim + 1
-    if subject == "ideal":
-        return BettiTable("ideal", c.n, dim_ring, field, ideal)
-    ring = {(i + 1, j): v for (i, j), v in ideal.items()}
-    ring[(0, 0)] = 1
-    return BettiTable("ring", c.n, dim_ring, field, ring)
+    table = BettiTable("ideal", c.n, dim_ring, field, ideal)
+    return table if subject == "ideal" else ring_table(table)
 
 
 def ring_table(ideal_table: BettiTable) -> BettiTable:

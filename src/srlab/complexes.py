@@ -13,7 +13,17 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, NamedTuple
 
-from ._bits import antichain, bits_of, labels_of, mask_of, submasks_one_less
+from ._bits import (
+    antichain,
+    bits_of,
+    compress_map,
+    face_closure,
+    faces_by_size_from_masks,
+    labels_of,
+    mask_of,
+    remap,
+    submasks_one_less,
+)
 
 
 class ParseError(ValueError):
@@ -103,26 +113,11 @@ class Complex:
 
     def face_masks(self) -> set[int]:
         """All faces (including the empty face for non-void complexes)."""
-        faces: set[int] = set(self.facet_masks)
-        stack = list(self.facet_masks)
-        while stack:
-            f = stack.pop()
-            for sub in submasks_one_less(f):
-                if sub not in faces:
-                    faces.add(sub)
-                    stack.append(sub)
-        return faces
+        return face_closure(self.facet_masks)
 
     def faces_by_size(self) -> list[list[int]]:
         """Face masks grouped by cardinality, each group sorted ascending."""
-        if self.is_void:
-            return []
-        groups: list[list[int]] = [[] for _ in range((self.dim or 0) + 2)]
-        for f in self.face_masks():
-            groups[f.bit_count()].append(f)
-        for g in groups:
-            g.sort()
-        return groups
+        return [] if self.is_void else faces_by_size_from_masks(self.facet_masks)
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_dim); empty tuple for the void complex."""
@@ -270,25 +265,7 @@ def complex_info(c: Complex) -> ComplexInfo:
 
 def _relabel(masks: Iterable[int], keep: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Compress masks onto the bits of ``keep``; return (masks, old labels)."""
-    table = {}
-    old = []
-    i = 0
-    m = keep
-    while m:
-        b = m & -m
-        table[b] = 1 << i
-        old.append(b.bit_length())
-        m ^= b
-        i += 1
-    out = []
-    for f in masks:
-        c = 0
-        while f:
-            b = f & -f
-            c |= table[b]
-            f ^= b
-        out.append(c)
-    return tuple(sorted(out)), tuple(old)
+    return tuple(sorted(remap(masks, compress_map(keep)))), labels_of(keep)
 
 
 def link(c: Complex, face: Iterable[int]) -> LinkResult:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._bits import compress_masks
+from ._bits import bits_of, compress_masks
 from .complexes import Complex
 from .homology import GF2, FieldSpec, dims_cached
 
@@ -65,10 +65,7 @@ def link_profile(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, int]:
     occupied = 0
     for f in canon:
         occupied |= f
-    m = occupied
-    while m:
-        b = m & -m
-        m ^= b
+    for b in bits_of(occupied):
         sub = tuple(f ^ b for f in canon if f & b)
         mb, sv = link_profile(sub, field)
         if mb >= 0 and mb + 1 > max_unclean:

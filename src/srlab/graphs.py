@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from ._bits import bits_of
 from .complexes import Complex, ParseError
 
 
@@ -140,20 +141,13 @@ def maximal_cliques(adj: tuple[int, ...]) -> list[int]:
         if not p and not x:
             out.append(r)
             return
-        both = p | x
         # pivot with most neighbors in p
         pivot, best = 0, -1
-        m = both
-        while m:
-            b = m & -m
-            m ^= b
+        for b in bits_of(p | x):
             cnt = (p & adj[b.bit_length() - 1]).bit_count()
             if cnt > best:
                 best, pivot = cnt, b
-        cand = p & ~adj[pivot.bit_length() - 1]
-        while cand:
-            b = cand & -cand
-            cand ^= b
+        for b in bits_of(p & ~adj[pivot.bit_length() - 1]):
             a = adj[b.bit_length() - 1]
             bk(r | b, p & a, x & a)
             p ^= b
@@ -230,15 +224,51 @@ def induced_cycles(g: Graph, max_len: int) -> CycleReport:
     return CycleReport(cycles=cycles, searched_max_length=max_len)
 
 
-def chordless_span(adj: tuple[int, ...]) -> tuple[int, int]:
-    """(min, max) length of chordless cycles; (0, 0) when there are none."""
+def chordless_span(adj: tuple[int, ...], max_len: int | None = None,
+                   early_min: bool = False) -> tuple[int, int]:
+    """(min, max) length of chordless cycles of length <= ``max_len``
+    (any length by default); (0, 0) when there are none.
+
+    The same DFS over induced paths as ``_chordless_cycles``, with
+    bitmask state and no cycle tuples built: every vertex that closes a
+    path closes a cycle of the same length, so closing is one mask test.
+    ``early_min`` returns as soon as a 4-cycle is seen (nothing shorter
+    exists), reporting (4, 4); use it only when the max is not needed.
+    """
+    n = len(adj)
+    cap = n if max_len is None else min(max_len, n)
     lo = hi = 0
-    for cyc in _chordless_cycles(adj, len(adj)):
-        k = len(cyc)
-        if not lo or k < lo:
-            lo = k
-        if k > hi:
-            hi = k
+    for s in range(n):
+        sbit = 1 << s
+        above = -(sbit << 1)
+        adj_s = adj[s]
+        stack = []
+        m = adj_s & above
+        while m:
+            b = m & -m
+            m ^= b
+            stack.append(((s, b.bit_length() - 1), sbit | b, 0))
+        while stack:
+            path, pmask, banned = stack.pop()
+            end = path[-1]
+            cand = adj[end] & above & ~pmask & ~banned
+            k = len(path)
+            # a closing vertex above the second one: each cycle is seen once
+            if k >= 3 and (cand & adj_s) >> (path[1] + 1):
+                if not lo or k + 1 < lo:
+                    lo = k + 1
+                if k + 1 > hi:
+                    hi = k + 1
+                if early_min and k == 3:
+                    return 4, 4
+            if k + 2 > cap:
+                continue
+            new_banned = banned | (adj[end] & above)
+            mm = cand & ~adj_s
+            while mm:
+                b = mm & -mm
+                mm ^= b
+                stack.append((path + (b.bit_length() - 1,), pmask | b, new_banned))
     return lo, hi
 
 
@@ -246,14 +276,7 @@ def chord_condition(g: Graph, r: int) -> bool:
     """Every cycle of length <= r has a chord (vacuous for r = 3)."""
     if r < 3:
         raise ValueError("r must be >= 3")
-    if r < 4 or g.n < 4:
-        return True
-    return not any(True for _ in _chordless_cycles_capped(g.adj, r))
-
-
-def _chordless_cycles_capped(adj, r):
-    for cyc in _chordless_cycles(adj, min(r, len(adj))):
-        yield cyc
+    return chordless_span(g.adj, max_len=r, early_min=True)[0] == 0
 
 
 def is_chordal(g: Graph) -> bool:
@@ -268,19 +291,24 @@ def r_chordal(g: Graph, r: int) -> bool:
     return chordless_span(g.adj)[1] <= r
 
 
-def is_cycle_graph(g: Graph) -> bool:
-    """Connected and 2-regular, i.e. a single n-cycle."""
-    if g.n < 3 or any(a.bit_count() != 2 for a in g.adj):
-        return False
-    seen = 1
-    frontier = 1
+def reachable(adj: tuple[int, ...], start: int) -> int:
+    """Mask of the vertices joined by a path to a vertex of ``start``
+    (``start`` included), by breadth-first search over adjacency masks."""
+    seen = frontier = start
     while frontier:
         nxt = 0
         m = frontier
         while m:
             b = m & -m
             m ^= b
-            nxt |= g.adj[b.bit_length() - 1]
+            nxt |= adj[b.bit_length() - 1]
         frontier = nxt & ~seen
         seen |= nxt
-    return seen == (1 << g.n) - 1
+    return seen
+
+
+def is_cycle_graph(g: Graph) -> bool:
+    """Connected and 2-regular, i.e. a single n-cycle."""
+    if g.n < 3 or any(a.bit_count() != 2 for a in g.adj):
+        return False
+    return reachable(g.adj, 1) == (1 << g.n) - 1

@@ -7,26 +7,30 @@ checker is invariant under relabeling the vertices, so an exhaustive
 space of at most ``ORBIT_SLOT_LIMIT`` slots checks each S_n-orbit once,
 on its least slot mask (``_engine.orbit_reps``), while every labeled
 instance is still enumerated, counted and, when it fails, recorded on
-its own mask.  Large exhaustive GF(2) runs are dispatched to the table
-engine in ``_engine``; small spaces and non-GF(2) fields take the
-generic route through the public modules.  Both routes are
-cross-validated against each other in the test suite.  Expected
-counterexample count for every registered id over its default spaces:
-zero.
-"""
+its own mask.  Every route filters instances with the same cover filter
+(``_engine.cover_filter``).
 
+The six engine-hooked theorems each have one clause function over a
+digest (``ComplexDigest`` or ``GraphDigest``).  Their registered
+checkers build the digest from the public modules over any field; on
+large exhaustive GF(2) spaces the same clause function reads digests
+from the table engine in ``_engine`` instead.  The test suite compares
+the two providers field by field.  Expected counterexample count for
+every registered id over its default spaces: zero.
+"""
 from __future__ import annotations
 
 import json
 import random
 import time
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from math import comb
 from typing import Callable, Iterator
 
 from . import _engine
-from ._bits import size_subsets
+from ._bits import labels_of, pick, size_subsets
 from .betti import (
     FULL_LINEARITY,
     check_er_shape,
@@ -48,12 +52,11 @@ from .criteria import (
     max_serre,
     min_cm_t,
     min_singularity_bound,
-    reisner_cm,
     satisfies_serre,
     singularity_dimension_lt,
 )
 from .fixtures import fixture_complex
-from .graphs import Graph, chord_condition, chordless_span, is_cycle_graph, clique_complex
+from .graphs import Graph, chordless_span, clique_complex, is_cycle_graph
 from .homology import GF2, FieldSpec, reduced_homology
 
 #: spaces at least this large (2^slots) go through the table engine
@@ -113,6 +116,8 @@ class SearchSpace:
             return
         if self.kind == "complex" and not (1 <= int(self.d) <= self.n):
             raise HarnessError(f"facet size {self.d} out of range for n={self.n}")
+        if self.slot_count() == 0:
+            raise HarnessError(f"a {self.kind} space on n={self.n} vertices has no slots")
         if self.mode == "exhaustive" and self.slot_count() > EXHAUSTIVE_SLOT_LIMIT:
             raise HarnessError(
                 f"exhaustive enumeration needs at most {EXHAUSTIVE_SLOT_LIMIT} "
@@ -134,12 +139,7 @@ class SearchSpace:
         """
         K = self.slot_count()
         if self.mode == "exhaustive":
-            if keep is None:
-                yield from range(1, 1 << K)
-            else:
-                for s in range(1, 1 << K):
-                    if keep(s):
-                        yield s
+            yield from filter(keep, range(1, 1 << K))  # keep=None drops no s >= 1
         else:
             rng = random.Random(self.seed)
             seen: set[int] = set()
@@ -180,17 +180,6 @@ class SearchSpace:
         )
 
 
-def _mask_cover(slots: list[int], full: int) -> Callable[[int], bool]:
-    def keep(s: int) -> bool:
-        occ = 0
-        while s:
-            b = s & -s
-            s ^= b
-            occ |= slots[b.bit_length() - 1]
-        return occ == full
-    return keep
-
-
 def _decoder(space: SearchSpace) -> Callable[[int], Complex | Graph]:
     """Instance mask -> Complex or Graph; a fixture space has one instance."""
     if space.kind == "fixture":
@@ -199,31 +188,15 @@ def _decoder(space: SearchSpace) -> Callable[[int], Complex | Graph]:
     n = space.n
     slots = space.slot_masks()
     if space.kind == "graph":
-        def graph(s: int) -> Graph:
-            adj = [0] * n
-            while s:
-                b = s & -s
-                s ^= b
-                pm = slots[b.bit_length() - 1]
-                u = (pm & -pm).bit_length() - 1
-                v = (pm ^ (pm & -pm)).bit_length() - 1
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            return Graph.from_adj(tuple(adj))
-        return graph
-
-    def pure_complex(s: int) -> Complex:
-        masks = []
-        while s:
-            b = s & -s
-            s ^= b
-            masks.append(slots[b.bit_length() - 1])
-        return Complex(n, tuple(masks), _trusted=True)
-    return pure_complex
+        return lambda s: Graph(n, [labels_of(pair) for pair in pick(slots, s)])
+    return lambda s: Complex(n, tuple(pick(slots, s)), _trusted=True)
 
 
-def _generic_keep(space: SearchSpace) -> Callable[[int], bool] | None:
-    return _mask_cover(space.slot_masks(), (1 << space.n) - 1) if space.cover else None
+def _keep(space: SearchSpace) -> Callable[[int], bool] | None:
+    """The space's instance filter: its cover condition, or None."""
+    if space.kind == "fixture" or not space.cover:
+        return None
+    return _engine.cover_filter(space.n, space.slot_size)
 
 
 def enumerate_pure_complexes(space: SearchSpace) -> Iterator[Complex]:
@@ -233,7 +206,7 @@ def enumerate_pure_complexes(space: SearchSpace) -> Iterator[Complex]:
     if space.kind != "complex":
         raise HarnessError("expected a pure-complex space")
     decode = _decoder(space)
-    return (decode(s) for s in space.iter_masks(_generic_keep(space)))
+    return (decode(s) for s in space.iter_masks(_keep(space)))
 
 
 def enumerate_graphs(space: SearchSpace) -> Iterator[Graph]:
@@ -242,7 +215,7 @@ def enumerate_graphs(space: SearchSpace) -> Iterator[Graph]:
     if space.kind != "graph":
         raise HarnessError("expected a graph space")
     decode = _decoder(space)
-    return (decode(s) for s in space.iter_masks(_generic_keep(space)))
+    return (decode(s) for s in space.iter_masks(_keep(space)))
 
 
 # ---------------------------------------------------------------------------
@@ -352,50 +325,6 @@ def _check_ext_profile(c: Complex, field: FieldSpec) -> list[str]:
     return out
 
 
-def _check_topin(c: Complex, field: FieldSpec) -> list[str]:
-    d = _dim_ring(c)
-    dual = alexander_dual(c)
-    dtbl = hochster_betti(dual, field, "ideal")
-    g = skeleton_graph(dual)
-    out = []
-    for t in range(0, d + 1):
-        a = cm_t(c, t, field)
-        b = check_ndp(dtbl, 2, d - t)
-        s = satisfies_serre(c, d - t, field)
-        r = d - t + 2
-        ch = chord_condition(g, r) if r >= 3 else True
-        if not (a == b == s == ch):
-            out.append(f"t={t}: CM_t={a} N(2,{d - t})={b} S_{d - t}={s} chord<= {r}={ch}")
-    return out
-
-
-def _check_chardepth(c: Complex, field: FieldSpec) -> list[str]:
-    if not is_buchsbaum(c, field):
-        return []
-    d = _dim_ring(c)
-    out = []
-    depth = homological_invariants(hochster_betti(c, field, "ring")).depth
-    if depth < d - 1:
-        out.append(f"Buchsbaum but depth {depth} < dim = {d - 1}")
-    noncm = not reisner_cm(c, field)
-    cyc = is_cycle_graph(skeleton_graph(alexander_dual(c)))
-    if noncm != cyc:
-        out.append(f"non-CM={noncm} but dual skeleton is-the-cycle={cyc}")
-    return out
-
-
-def _check_corbk(c: Complex, field: FieldSpec) -> list[str]:
-    if not is_buchsbaum(c, field):
-        return []
-    d = _dim_ring(c)
-    hv = reduced_homology(c, field)
-    out = []
-    for i in hv.nonzero_degrees():
-        if i >= 1 and c.n < 2 * d - i:
-            out.append(f"H_{i} != 0 but n = {c.n} < 2d - i = {2 * d - i}")
-    return out
-
-
 def _check_sd_invariance(c: Complex, field: FieldSpec) -> list[str]:
     sd = barycentric_subdivision(c)
     out = []
@@ -411,44 +340,251 @@ def _check_sd_invariance(c: Complex, field: FieldSpec) -> list[str]:
     return out
 
 
-def _check_main2(g: Graph, field: FieldSpec) -> list[str]:
-    dual = alexander_dual(clique_complex(g))
+# ---------------------------------------------------------------------------
+# digests: what the engine-hooked theorems read, from two providers
+
+
+class _lazy:
+    """A digest field: ``fn(digest)`` runs on the first read, and its value
+    is stored on the digest, where it shadows this descriptor."""
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+def _threshold(holds: Callable[[int], bool], d: int) -> int | None:
+    """The least t in 0..d with holds(d - t), or None."""
+    return next((t for t in range(d + 1) if holds(d - t)), None)
+
+
+class ComplexDigest:
+    """What thm-topin, prop-chardepth and cor-bk read about a complex,
+    from the public modules over any field.
+
+    Fields are computed on first read, so a clause that stops at its
+    premise (Buchsbaum) computes nothing past it.  A threshold is the
+    least t in 0..d at which its property holds; CM_t, N_{2,d-t}, S_{d-t}
+    and the chord condition at d-t+2 then hold for every larger t too.
+    ``dims`` are reduced homology dims from degree -1; ``dual_adj`` is the
+    adjacency of the Alexander dual's 1-skeleton.
+    """
+
+    def __init__(self, c: Complex, field: FieldSpec):
+        self.c = c
+        self.field = field
+        self.n = c.n
+        self.d = _dim_ring(c)
+
+    min_cm_t = _lazy(lambda dg: min_cm_t(dg.c, dg.field))  # None when not pure
+    serre_threshold = _lazy(lambda dg: _threshold(
+        partial(satisfies_serre, dg.c, field=dg.field), dg.d))
+    dims = _lazy(lambda dg: reduced_homology(dg.c, dg.field).dims)
+    dual = _lazy(lambda dg: alexander_dual(dg.c))
+    ndp_threshold = _lazy(lambda dg: _threshold(
+        partial(check_ndp, hochster_betti(dg.dual, dg.field, "ideal"), 2), dg.d))
+    dual_adj = _lazy(lambda dg: skeleton_graph(dg.dual).adj)
+    dual_chordless_min = _lazy(lambda dg: chordless_span(dg.dual_adj, early_min=True)[0])
+    dual_is_cycle = _lazy(lambda dg: is_cycle_graph(Graph.from_adj(dg.dual_adj)))
+    buchsbaum = _lazy(lambda dg: is_buchsbaum(dg.c, dg.field))
+    depth = _lazy(lambda dg: homological_invariants(hochster_betti(dg.c, dg.field, "ring")).depth)
+
+
+class _EngineComplexDigest(ComplexDigest):
+    """The same fields over GF(2) for slot mask ``s`` of an engine space,
+    read from the engine's tables.  The one field no table gives, a depth
+    below d - 1, comes from the decoded complex."""
+
+    field = GF2
+
+    def __init__(self, eng: _engine.PureSpaceEngine, decode: Callable[[int], Complex], s: int):
+        self.eng = eng
+        self.decode = decode
+        self.s = s
+        self.n = eng.n
+        self.d = eng.d
+
+    c = _lazy(lambda dg: dg.decode(dg.s))
+    analysis = _lazy(lambda dg: dg.eng.analyze_full(dg.s))
+    min_cm_t = _lazy(lambda dg: dg.analysis[0])
+    serre_threshold = _lazy(lambda dg: max(0, dg.d - 1 - dg.analysis[1]))
+    dims = _lazy(lambda dg: dg.analysis[2])
+    dual_edges = _lazy(lambda dg: dg.eng.dual_graph_mask(dg.s))
+    ndp_threshold = _lazy(lambda dg: dg.eng.ndp_threshold(dg.dual_edges, dg.dims))
+    dual_adj = _lazy(lambda dg: dg.eng.adj_of_edges(dg.dual_edges))
+    buchsbaum = _lazy(lambda dg: dg.eng.is_buchsbaum(dg.s))
+
+    @_lazy
+    def depth(dg) -> int:
+        if dg.min_cm_t == 0:
+            return dg.d
+        if dg.eng._projdim_at_most_3(dg.dims, dg.analysis[3]):
+            return dg.d - 1
+        return ComplexDigest.depth.fn(dg)
+
+
+class GraphDigest:
+    """What thm-main2, cor-linear and froberg read about a graph G, from
+    the public modules over any field; fields are computed on first read.
+    ``dual_min_cm_t`` is min CM_t of the Alexander dual of clique(G), None
+    when that dual is void; the chordless lengths are 0 when G is chordal.
+    """
+
+    def __init__(self, g: Graph, field: FieldSpec):
+        self.g = g
+        self.field = field
+        self.n = g.n
+
+    adj = _lazy(lambda dg: dg.g.adj)
+    clique = _lazy(lambda dg: clique_complex(dg.g))
+    clique_dual = _lazy(lambda dg: alexander_dual(dg.clique))
+    dual_min_cm_t = _lazy(lambda dg: None if dg.clique_dual.is_void
+                          else min_cm_t(dg.clique_dual, dg.field))
+    linear = _lazy(lambda dg: check_ndp(hochster_betti(dg.clique, dg.field, "ideal"), 2,
+                                        FULL_LINEARITY))
+    chordless_min = _lazy(lambda dg: chordless_span(dg.adj, early_min=True)[0])
+    chordless_max = _lazy(lambda dg: chordless_span(dg.adj)[1])
+
+
+class _EngineGraphDigest(GraphDigest):
+    """The same fields over GF(2) for edge mask ``e``, read from the
+    codimension-2 engine's tables; with ``check_duality`` the dual's
+    homology is checked against clique(G)'s by Alexander duality."""
+
+    field = GF2
+
+    def __init__(self, eng: _engine.Codim2Engine, check_duality: bool, e: int):
+        self.eng = eng
+        self.check_duality = check_duality
+        self.e = e
+        self.n = eng.n
+
+    adj = _lazy(lambda dg: dg.eng.adj_of_edges(dg.e))
+    dual_min_cm_t = _lazy(lambda dg: dg.eng.clique_dual_cm(dg.e, dg.check_duality))
+    linear = _lazy(lambda dg: dg.eng.linearity_data(dg.e))
+
+
+def _engine_digests(hook: str, space: SearchSpace, decode: Callable[[int], Complex | Graph]
+                    ) -> Callable[[int], ComplexDigest | GraphDigest]:
+    """mask -> its digest read from the GF(2) tables, for an engine-eligible space."""
+    if space.kind == "graph":
+        # thm-main2 checks Alexander duality on every dual it analyzes
+        return partial(_EngineGraphDigest, _engine.codim2_engine(space.n), hook == "main2")
+    if hook == "corbk":
+        eng = _engine.pure_space_engine(space.n, int(space.d))
+    else:
+        eng = _engine.codim2_engine(space.n)
+    return partial(_EngineComplexDigest, eng, decode)
+
+
+# ---------------------------------------------------------------------------
+# the engine-hooked theorems: one clause function each, over a digest
+
+
+def _topin_clauses(dg: ComplexDigest) -> list[str]:
+    """Codimension 2: CM_t, N_{2,d-t}, S_{d-t} and the chord condition at
+    d-t+2 on the dual's 1-skeleton agree for every t."""
+    d = dg.d
+    t_cm = dg.min_cm_t
+    t_ndp = dg.ndp_threshold
+    t_serre = dg.serre_threshold
+    # the chord condition at d-t+2 holds from t = d+3-(shortest chordless cycle) on
+    t_chord = max(0, d + 3 - dg.dual_chordless_min) if dg.dual_chordless_min else 0
+    if t_cm == t_ndp == t_serre == t_chord:
+        return []
     out = []
-    for r in range(3, g.n + 1):
-        lhs = cm_t(dual, g.n - r, field)
-        rhs = chord_condition(g, r)
+    for t in range(0, d + 1):
+        a = t_cm is not None and t >= t_cm
+        b = t >= t_ndp
+        s = t >= t_serre
+        ch = t >= t_chord
+        r = d - t + 2
+        if not (a == b == s == ch):
+            out.append(f"t={t}: CM_t={a} N(2,{d - t})={b} S_{d - t}={s} chord<= {r}={ch}")
+    return out
+
+
+def _chardepth_clauses(dg: ComplexDigest) -> list[str]:
+    """Buchsbaum in codimension 2: depth >= d-1, and non-CM iff the dual's
+    1-skeleton is the n-cycle."""
+    if not dg.buchsbaum:
+        return []
+    out = []
+    if dg.depth < dg.d - 1:
+        out.append(f"Buchsbaum but depth {dg.depth} < dim = {dg.d - 1}")
+    noncm = dg.min_cm_t != 0
+    if noncm != dg.dual_is_cycle:
+        out.append(f"non-CM={noncm} but dual skeleton is-the-cycle={dg.dual_is_cycle}")
+    return out
+
+
+def _corbk_clauses(dg: ComplexDigest) -> list[str]:
+    """Buchsbaum with H~_i != 0 for some i >= 1 forces n >= 2d - i."""
+    if not dg.buchsbaum:
+        return []
+    out = []
+    for i, dim in enumerate(dg.dims, start=-1):
+        if dim and i >= 1 and dg.n < 2 * dg.d - i:
+            out.append(f"H_{i} != 0 but n = {dg.n} < 2d - i = {2 * dg.d - i}")
+    return out
+
+
+def _main2_clauses(dg: GraphDigest) -> list[str]:
+    """dual(clique(G)) is CM_{n-r} iff every cycle of length <= r has a
+    chord, for all r in [3, n]."""
+    out = []
+    for r in range(3, dg.n + 1):
+        lhs = dg.dual_min_cm_t is None or dg.n - r >= dg.dual_min_cm_t
+        rhs = not dg.chordless_min or dg.chordless_min > r
         if lhs != rhs:
             out.append(f"r={r}: CM_(n-r)(dual clique)={lhs} but chord condition={rhs}")
     return out
 
 
-def _check_corlinear(g: Graph, field: FieldSpec) -> list[str]:
-    cx = clique_complex(g)
-    dual = alexander_dual(cx)
-    if dual.is_void:
+def _corlinear_clauses(dg: GraphDigest) -> list[str]:
+    """For r-chordal G with dual(clique(G)) not void: CM_{n-r} iff
+    I_{clique(G)} has a linear resolution."""
+    if dg.dual_min_cm_t is None:
         return []
-    tbl = hochster_betti(cx, field, "ideal")
-    linear = check_ndp(tbl, 2, FULL_LINEARITY)
-    _, hi = chordless_span(g.adj)
     out = []
-    for r in range(3, g.n + 1):
-        if hi > r:
-            continue  # not r-chordal
-        lhs = cm_t(dual, g.n - r, field)
-        if lhs != linear:
-            out.append(f"r={r} (r-chordal): CM_(n-r)={lhs} but linear resolution={linear}")
+    for r in range(max(3, dg.chordless_max), dg.n + 1):  # the r with G r-chordal
+        lhs = dg.n - r >= dg.dual_min_cm_t
+        if lhs != dg.linear:
+            out.append(f"r={r} (r-chordal): CM_(n-r)={lhs} but linear resolution={dg.linear}")
     return out
 
 
-def _check_froberg(g: Graph, field: FieldSpec) -> list[str]:
-    cx = clique_complex(g)
-    tbl = hochster_betti(cx, field, "ideal")
-    linear = check_ndp(tbl, 2, FULL_LINEARITY)
-    lo, _ = chordless_span(g.adj)
-    chordal = lo == 0
-    if linear != chordal:
-        return [f"linear resolution={linear} but chordal={chordal}"]
+def _froberg_clauses(dg: GraphDigest) -> list[str]:
+    """I_{clique(G)} has a linear resolution iff G is chordal."""
+    chordal = dg.chordless_min == 0
+    if dg.linear != chordal:
+        return [f"linear resolution={dg.linear} but chordal={chordal}"]
     return []
+
+
+#: engine hook -> the theorem's clauses over a digest (both routes)
+_ENGINE_HOOKS: dict[str, Callable[..., list[str]]] = {
+    "topin": _topin_clauses,
+    "chardepth": _chardepth_clauses,
+    "corbk": _corbk_clauses,
+    "main2": _main2_clauses,
+    "corlinear": _corlinear_clauses,
+    "froberg": _froberg_clauses,
+}
+
+
+def _digest_checker(digest: type, clauses: Callable[..., list[str]]) -> Callable[..., list[str]]:
+    """The registered checker(instance, field) of an engine-hooked theorem:
+    its clauses over the instance's public-module digest."""
+    return lambda inst, field: clauses(digest(inst, field))
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +609,9 @@ def register_theorem(theorem_id: str, kind: str, checker, engine_hook: str | Non
     it returns clauses may not change when the instance is permuted.  An
     exhaustive space checks each S_n-orbit once, on its representative;
     a recorded member that passes while its representative fails raises
-    ``EngineError``.
+    ``EngineError``.  ``engine_hook`` names the theorem's clause function
+    in ``_ENGINE_HOOKS``; on a space the table engine takes, that function
+    reads digests from the engine instead of calling ``checker``.
     """
     THEOREMS[theorem_id] = TheoremDef(theorem_id, kind, checker, engine_hook)
 
@@ -485,13 +623,19 @@ register_theorem("yanagawa-bridge", "complex", _check_yanagawa)
 register_theorem("remark-serre", "complex", _check_remark_serre)
 register_theorem("subadd", "complex", _check_subadd)
 register_theorem("ext-profile", "complex", _check_ext_profile)
-register_theorem("thm-topin", "complex", _check_topin, engine_hook="topin")
-register_theorem("prop-chardepth", "complex", _check_chardepth, engine_hook="chardepth")
-register_theorem("cor-bk", "complex", _check_corbk, engine_hook="corbk")
+register_theorem("thm-topin", "complex", _digest_checker(ComplexDigest, _topin_clauses),
+                  engine_hook="topin")
+register_theorem("prop-chardepth", "complex", _digest_checker(ComplexDigest, _chardepth_clauses),
+                  engine_hook="chardepth")
+register_theorem("cor-bk", "complex", _digest_checker(ComplexDigest, _corbk_clauses),
+                  engine_hook="corbk")
 register_theorem("sd-invariance", "complex", _check_sd_invariance)
-register_theorem("thm-main2", "graph", _check_main2, engine_hook="main2")
-register_theorem("cor-linear", "graph", _check_corlinear, engine_hook="corlinear")
-register_theorem("froberg", "graph", _check_froberg, engine_hook="froberg")
+register_theorem("thm-main2", "graph", _digest_checker(GraphDigest, _main2_clauses),
+                  engine_hook="main2")
+register_theorem("cor-linear", "graph", _digest_checker(GraphDigest, _corlinear_clauses),
+                  engine_hook="corlinear")
+register_theorem("froberg", "graph", _digest_checker(GraphDigest, _froberg_clauses),
+                  engine_hook="froberg")
 
 
 # ---------------------------------------------------------------------------
@@ -583,20 +727,18 @@ def _engine_eligible(td: TheoremDef, space: SearchSpace, field: FieldSpec) -> bo
 
 
 def _route(td: TheoremDef, space: SearchSpace, field: FieldSpec,
-           decode: Callable[[int], Complex | Graph]):
-    """(keep, check) for one space: the instance filter (None for none) and
-    mask -> violated clauses, through the table engine when eligible."""
+           decode: Callable[[int], Complex | Graph]) -> Callable[[int], list[str]]:
+    """mask -> violated clauses for one space: the theorem's clauses over
+    digests read from the table engine when the space is eligible, else
+    its registered checker on the decoded instance."""
     if _engine_eligible(td, space, field):
-        if td.engine_hook == "corbk":
-            eng = _engine.pure_space_engine(space.n, int(space.d))
-        else:
-            eng = _engine.codim2_engine(space.n)
-        keep = eng.graph_no_isolated if space.kind == "graph" else eng.covers
-        return (keep if space.cover else None), getattr(eng, f"{td.engine_hook}_clauses")
+        clauses = _ENGINE_HOOKS[td.engine_hook]
+        digest = _engine_digests(td.engine_hook, space, decode)
+        return lambda s: clauses(digest(s))
     if space.kind != "fixture" and td.kind != space.kind:
         raise HarnessError(f"{td.theorem_id} expects {td.kind} spaces")
     checker = td.checker
-    return _generic_keep(space), lambda s: checker(decode(s), field)
+    return lambda s: checker(decode(s), field)
 
 
 def _run_space(td: TheoremDef, space: SearchSpace, field: FieldSpec, cap: int,
@@ -610,12 +752,12 @@ def _run_space(td: TheoremDef, space: SearchSpace, field: FieldSpec, cap: int,
     instance.
     """
     decode = _decoder(space)
-    keep, check = _route(td, space, field, decode)
+    check = _route(td, space, field, decode)
     reps = None
     if space.kind == "fixture":
         masks: Iterator[int] | list[int] = [-1]
     else:
-        masks = space.iter_masks(keep)
+        masks = space.iter_masks(_keep(space))
         if space.mode == "exhaustive" and space.slot_count() <= ORBIT_SLOT_LIMIT:
             reps = _engine.orbit_reps(space.n, space.slot_size)
     verdicts: dict[int, list[str]] = {}  # orbit representative -> its clauses

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from ._bits import compress_masks, submasks_one_less
+from ._bits import compress_masks, faces_by_size_from_masks
 from .complexes import Complex
 
 
@@ -155,30 +155,6 @@ def _rank_exact(rows: list[list[int]], p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # boundary construction on raw facet masks
-
-
-def faces_by_size_from_masks(facets: tuple[int, ...]) -> list[list[int]]:
-    """All faces of the complex generated by ``facets``, grouped by size."""
-    faces = set(facets)
-    stack = list(facets)
-    while stack:
-        f = stack.pop()
-        m = f
-        while m:
-            b = m & -m
-            m ^= b
-            sub = f ^ b
-            if sub not in faces:
-                faces.add(sub)
-                stack.append(sub)
-    faces.add(0)
-    top = max(f.bit_count() for f in facets) if facets else 0
-    groups: list[list[int]] = [[] for _ in range(top + 1)]
-    for f in faces:
-        groups[f.bit_count()].append(f)
-    for g in groups:
-        g.sort()
-    return groups
 
 
 def dims_gf2(facets: tuple[int, ...]) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ runtime; every budget below is asserted, not aspirational.
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import pytest
@@ -41,12 +42,35 @@ def _report(num: int, elapsed: float, budget: float, detail: str) -> None:
     assert elapsed < budget, f"criterion {num} exceeded its {budget}s budget"
 
 
+#: sha256 of ``verify_theorem(id).to_json()`` on the default spaces; a
+#: change to the default spaces or to the JSON updates these on purpose
+DEFAULT_RUN_SHA256 = {
+    "cor-bk": "a6bc364d33a4a6fde366fc79601ef95a85379fc4d78b3a15daa5723fddb9ebea",
+    "cor-linear": "6f38a9c9cc30a8b479f5ff645de62faec248c352ed89a4d520ae240b2a154443",
+    "cor-yan": "e823d79cc52013541ef561b39d689c9701c5ad51de880c6ce5b587429f647c41",
+    "ext-profile": "7edc462a0f9a93daac3a3417351374ac95e9084da20ad525dada9243f86d584e",
+    "froberg": "5b161d4ce46c4675414fba336167c619459730b5a6b83a16a619d496d119d264",
+    "prop-chardepth": "16e8705d7e55017711d71df59a73e5684a64e9a9ac5c8dadb803c98429b17f2d",
+    "remark-serre": "a8ae8b1a52cb83eef47b3d8986b0a2f9742f9279b645a0cac23e2cb679242a0e",
+    "sd-invariance": "76df62ddf6cfe2bad469ddf53cd566ef861381534454f4f792c4b815593e5eec",
+    "subadd": "5004d76adaec6630f52bb41e31e02186f22844f60f48547f4fb5a821677027a7",
+    "thm-er": "aab000883743befc16b8a684687c6d586cdc4a3a786d73f0aa5fcef9d03af770",
+    "thm-main": "4e1d16336b5b27b6afaf8fdf92d7b188c17264370e9df413ad8847893a7ce97a",
+    "thm-main2": "4f7c8d65288012df214eddac6601a59537c30e774bdff978411cfed546cd7797",
+    "thm-topin": "9124e34fbf1ad3ea3e4a438d9d91e151a027e660e30432209131e14edadb9289",
+    "yanagawa-bridge": "c3e82a57133a4c347c8991404082c0f4657e41bb771de5283ab8e09ecc71d61a",
+}
+
+
 def _verify_ok(theorem_id: str, **kw):
     result = verify_theorem(theorem_id, **kw)
     assert result.ok(), (
         f"{theorem_id}: {len(result.counterexamples)} counterexample(s), "
         f"first: {result.counterexamples[:1]}"
     )
+    if not kw:
+        digest = hashlib.sha256(result.to_json().encode()).hexdigest()
+        assert digest == DEFAULT_RUN_SHA256[theorem_id], f"{theorem_id}: output bytes changed"
     return result
 
 

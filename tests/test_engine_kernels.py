@@ -22,8 +22,8 @@ from srlab import GF2, SearchSpace, enumerate_graphs, enumerate_pure_complexes
 from srlab import _engine
 from srlab._engine import (
     _SERRE_NONE,
-    chordless_span_adj,
     codim2_engine,
+    cover_filter,
     flag_dims,
     flag_tables,
     level_hom,
@@ -34,8 +34,7 @@ from srlab._engine import (
 from srlab.betti import FULL_LINEARITY, check_ndp, hochster_betti
 from srlab.complexes import alexander_dual
 from srlab.criteria import NO_VIOLATION, is_buchsbaum, link_profile, min_cm_t
-from srlab.graphs import Graph, chordless_span, clique_complex
-from srlab.harness import _mask_cover
+from srlab.graphs import Graph, _chordless_cycles, chordless_span, clique_complex
 from srlab.homology import faces_by_size_from_masks, reduced_homology
 
 SAMPLE = {6: 400, 7: 200}  # seeded instances per space above n = 5
@@ -49,10 +48,23 @@ def space(n: int, d, cover: bool, seed: int = 0) -> SearchSpace:
     return SearchSpace(n=n, d=d, mode="sample", count=SAMPLE[n], seed=seed + n, cover=cover)
 
 
+def covers_reference(slots: list[int], n: int):
+    """The cover filter by decoding: the flagged slots' union is [n]."""
+    full = (1 << n) - 1
+
+    def keep(s: int) -> bool:
+        union = 0
+        for i, slot in enumerate(slots):
+            if s >> i & 1:
+                union |= slot
+        return union == full
+    return keep
+
+
 def pure_instances(n: int, d: int, cover: bool, seed: int = 0):
     """(facet-set mask, Complex) pairs decoded by the harness."""
     sp = space(n, d, cover, seed)
-    keep = _mask_cover(sp.slot_masks(), (1 << n) - 1) if cover else None
+    keep = covers_reference(sp.slot_masks(), n) if cover else None
     return zip(sp.iter_masks(keep), enumerate_pure_complexes(sp))
 
 
@@ -82,23 +94,24 @@ def test_flag_dims_match_clique_complex_homology(n):
 @pytest.mark.parametrize("n", range(3, 8))
 def test_graph_decoding_and_filters(n):
     eng = codim2_engine(n)
-    no_isolated = _mask_cover(eng.pair_slots, (1 << n) - 1)
+    no_isolated = covers_reference(eng.pair_slots, n)
     for e, g in graph_instances(n):
         assert eng.adj_of_edges(e) == g.adj, (n, e)
-        assert eng.graph_no_isolated(e) == no_isolated(e), (n, e)
-    covers = _mask_cover(eng.facet_slots, (1 << n) - 1)
+        assert cover_filter(n, 2)(e) == no_isolated(e), (n, e)
+    covers = covers_reference(eng.facet_slots, n)
     for s, _ in pure_instances(n, n - 2, cover=False):
-        assert eng.covers(s) == covers(s), (n, s)
+        assert cover_filter(n, n - 2)(s) == covers(s), (n, s)
 
 
 @pytest.mark.parametrize("n, d", [(4, 2), (5, 2), (5, 3), (6, 3), (7, 3)])
 def test_pure_engine_filters(n, d):
-    """Cover filter and Buchsbaum gate of the pure-space engine; (7, 3)
-    has 35 facet slots, so its folds read four table chunks."""
+    """The shared cover filter and the Buchsbaum gate of the pure-space
+    engine; (7, 3) has 35 facet slots, so its folds read four table
+    chunks."""
     eng = pure_space_engine(n, d)
-    covers = _mask_cover(eng.facet_slots, (1 << n) - 1)
+    covers = covers_reference(eng.facet_slots, n)
     for s, c in pure_instances(n, d, cover=False, seed=d):
-        assert eng.covers(s) == covers(s), (n, d, s)
+        assert cover_filter(n, d)(s) == covers(s), (n, d, s)
         if covers(s) and n <= 6:
             assert eng.is_buchsbaum(s) == is_buchsbaum(c, GF2), (n, d, s)
 
@@ -107,7 +120,7 @@ def test_pure_engine_filters(n, d):
 def test_codim2_analyze_matches_generic(n):
     eng = codim2_engine(n)
     for s, c in pure_instances(n, n - 2, cover=True):
-        t_cm, serre_viol, dims = eng.analyze(s)
+        t_cm, serre_viol, dims, _ = eng.analyze_full(s)
         generic_viol = link_profile(c.facet_masks, GF2)[1]
         assert t_cm == min_cm_t(c, GF2), (n, s)
         assert serre_viol == (_SERRE_NONE if generic_viol == NO_VIOLATION else generic_viol), (n, s)
@@ -133,16 +146,22 @@ def test_linearity_data_matches_clique_ideal_betti(n):
     eng = codim2_engine(n)
     for e, g in graph_instances(n):
         expected = check_ndp(hochster_betti(clique_complex(g), GF2, "ideal"), 2, FULL_LINEARITY)
-        assert eng.linearity_data(e)[0] == expected, (n, e)
+        assert eng.linearity_data(e) == expected, (n, e)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_chordless_span_matches_graphs(n):
-    for e, g in graph_instances(n):
-        span = chordless_span(g.adj)
-        assert chordless_span_adj(g.adj) == span, (n, e)
-        lo, _ = chordless_span_adj(g.adj, early_min=True)
-        assert lo == span[0], (n, e)
+    """The span DFS against the cycle enumerator, also with a length cap;
+    the edgeless graph included (a graph space needs n >= 2)."""
+    for e, g in [(0, Graph(n, []))] + (list(graph_instances(n)) if n >= 2 else []):
+        lengths = [len(c) for c in _chordless_cycles(g.adj, n)]
+        assert chordless_span(g.adj) == (min(lengths, default=0), max(lengths, default=0)), (n, e)
+        lo, _ = chordless_span(g.adj, early_min=True)
+        assert lo == min(lengths, default=0), (n, e)
+        for r in range(3, n + 1):
+            capped = [k for k in lengths if k <= r]
+            assert chordless_span(g.adj, max_len=r) == (min(capped, default=0),
+                                                        max(capped, default=0)), (n, e, r)
 
 
 # ---------------------------------------------------------------------------

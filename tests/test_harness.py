@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+from functools import reduce
 from math import comb
+from operator import or_
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,21 +22,16 @@ from srlab import (
     verify_theorem,
 )
 from srlab import harness as hmod
-from srlab._engine import EngineError, codim2_engine, pure_space_engine
+from srlab._engine import EngineError
 from srlab.harness import (
     HarnessError,
     THEOREMS,
-    _check_chardepth,
-    _check_corbk,
-    _check_corlinear,
-    _check_froberg,
-    _check_main2,
-    _check_topin,
+    ComplexDigest,
+    GraphDigest,
     default_spaces,
     load_manifest,
     register_theorem,
 )
-from srlab.homology import FieldSpec
 
 
 class TestSpaces:
@@ -70,6 +68,16 @@ class TestSpaces:
     def test_sample_needs_seed(self):
         with pytest.raises(HarnessError):
             SearchSpace(n=4, d=2, mode="sample", count=5).validate()
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_graph_space_without_slots_rejected(self, n):
+        # no edge slot on fewer than 2 vertices: such a run would check nothing
+        sp = SearchSpace(n=n, d="graphs")
+        assert sp.slot_count() == 0
+        with pytest.raises(HarnessError):
+            sp.validate()
+        with pytest.raises(HarnessError):
+            verify_theorem("thm-main2", [sp])
 
     def test_space_json_roundtrip(self):
         sp = SearchSpace(n=7, d="graphs", mode="sample", count=500, seed=3)
@@ -190,8 +198,11 @@ class TestOrbitMemo:
         finally:
             THEOREMS.pop("test-three-facets")
         slots = sp.slot_masks()
-        covered = [s for s in range(1, 1 << len(slots))
-                   if hmod._mask_cover(slots, 31)(s)]
+
+        def union(s: int) -> int:
+            return reduce(or_, (m for i, m in enumerate(slots) if s >> i & 1), 0)
+
+        covered = [s for s in range(1, 1 << len(slots)) if union(s) == 31]
         expected = []
         for s in covered:
             c = Complex(5, tuple(slots[i] for i in range(len(slots)) if s >> i & 1),
@@ -237,64 +248,79 @@ class TestOrbitMemo:
         assert len(calls) == 33  # the 34 graphs on 5 unlabeled vertices, less the empty one
 
 
+#: digest fields per kind of space the engine takes
+COMPLEX_FIELDS = ("min_cm_t", "serre_threshold", "dims", "ndp_threshold", "dual_adj",
+                  "dual_chordless_min", "dual_is_cycle", "buchsbaum", "depth")
+PURE_FIELDS = ("min_cm_t", "serre_threshold", "dims", "buchsbaum")
+GRAPH_FIELDS = ("adj", "dual_min_cm_t", "linear", "chordless_min", "chordless_max")
+#: pure spaces that cor-bk routes to the engine (2^slots >= 8192, C(n-1, d-1) <= 15)
+CORBK_ENGINE_SPACES = [(6, 2), (6, 3), (6, 4), (7, 2), (7, 3), (7, 5)]
+
+
+def _engine_space(n: int, d, count: int, seed: int) -> SearchSpace:
+    """Every covered instance for n <= 5, a seeded sample above."""
+    if n <= 5:
+        return SearchSpace(n=n, d=d)
+    return SearchSpace(n=n, d=d, mode="sample", count=count, seed=seed)
+
+
+def _assert_same_digests(hooks: tuple[str, ...], space: SearchSpace, fields) -> None:
+    """Both providers give equal fields and equal clauses on every instance."""
+    decode = hmod._decoder(space)
+    engine = hmod._engine_digests(hooks[0], space, decode)
+    generic = GraphDigest if space.kind == "graph" else ComplexDigest
+    checked = 0
+    for s in space.iter_masks(hmod._keep(space)):
+        inst = decode(s)
+        fast, slow = engine(s), generic(inst, GF2)
+        for f in fields:
+            assert getattr(fast, f) == getattr(slow, f), (space, s, f)
+        for hook in hooks:
+            clauses = hmod._ENGINE_HOOKS[hook]
+            assert clauses(hmod._engine_digests(hook, space, decode)(s)) == clauses(slow)
+        checked += 1
+    assert checked
+
+
 class TestEngineAgainstGeneric:
-    """The table engine must agree with the public-module route."""
+    """The table engine's digests must equal the public-module digests,
+    field by field, on every instance the engine would check."""
 
     def test_codim2_n5_full(self):
-        eng = codim2_engine(5)
-        sp = SearchSpace(n=5, d=3)
-        slots = sp.slot_masks()
-        for s in range(1, 1 << len(slots)):
-            if not eng.covers(s):
-                continue
-            c = Complex(5, tuple(slots[i] for i in range(len(slots)) if s >> i & 1),
-                        _trusted=True)
-            assert bool(eng.topin_clauses(s)) == bool(_check_topin(c, GF2))
-            assert bool(eng.chardepth_clauses(s)) == bool(_check_chardepth(c, GF2))
+        for n in (3, 4, 5):
+            _assert_same_digests(("topin", "chardepth"), _engine_space(n, n - 2, 0, 0),
+                                 COMPLEX_FIELDS)
 
     @pytest.mark.slow
     def test_codim2_n6_sampled(self):
-        eng = codim2_engine(6)
-        sp = SearchSpace(n=6, d=4, mode="sample", count=400, seed=11)
-        slots = sp.slot_masks()
-        for s in sp.iter_masks():
-            if not eng.covers(s):
-                continue
-            c = Complex(6, tuple(slots[i] for i in range(len(slots)) if s >> i & 1),
-                        _trusted=True)
-            assert bool(eng.topin_clauses(s)) == bool(_check_topin(c, GF2))
-            assert bool(eng.chardepth_clauses(s)) == bool(_check_chardepth(c, GF2))
+        _assert_same_digests(("topin", "chardepth"), _engine_space(6, 4, 400, 11),
+                             COMPLEX_FIELDS)
 
     @pytest.mark.slow
     def test_codim2_n7_sampled(self):
-        eng = codim2_engine(7)
-        sp = SearchSpace(n=7, d=5, mode="sample", count=120, seed=13)
-        slots = sp.slot_masks()
-        for s in sp.iter_masks(eng.covers):
-            c = Complex(7, tuple(slots[i] for i in range(len(slots)) if s >> i & 1),
-                        _trusted=True)
-            assert bool(eng.topin_clauses(s)) == bool(_check_topin(c, GF2))
-            assert bool(eng.chardepth_clauses(s)) == bool(_check_chardepth(c, GF2))
+        _assert_same_digests(("topin", "chardepth"), _engine_space(7, 5, 120, 13),
+                             COMPLEX_FIELDS)
 
     def test_corbk_n5_full(self):
-        for d in (2, 3, 4):
-            eng = pure_space_engine(5, d)
-            decode = hmod._decoder(SearchSpace(n=5, d=d))
-            for s in range(1, 1 << len(eng.facet_slots)):
-                if not eng.covers(s):
-                    continue
-                c = decode(s)
-                assert bool(eng.corbk_clauses(s)) == bool(_check_corbk(c, GF2))
+        for n in range(1, 6):
+            for d in range(1, n + 1):
+                _assert_same_digests(("corbk",), _engine_space(n, d, 0, 0), PURE_FIELDS)
+
+    @pytest.mark.parametrize("n, d", CORBK_ENGINE_SPACES)
+    def test_corbk_engine_spaces_sampled(self, n, d):
+        space = _engine_space(n, d, 60, 17 + d)
+        assert hmod._engine_eligible(THEOREMS["cor-bk"], space, GF2)
+        _assert_same_digests(("corbk",), space, PURE_FIELDS)
 
     def test_graph_engines_n5_full(self):
-        eng = codim2_engine(5)
-        for e in range(1, 1 << 10):
-            if not eng.graph_no_isolated(e):
-                continue
-            g = Graph.from_adj(eng.adj_of_edges(e))
-            assert bool(eng.main2_clauses(e)) == bool(_check_main2(g, GF2))
-            assert bool(eng.corlinear_clauses(e)) == bool(_check_corlinear(g, GF2))
-            assert bool(eng.froberg_clauses(e)) == bool(_check_froberg(g, GF2))
+        for n in (3, 4, 5):
+            _assert_same_digests(("main2", "corlinear", "froberg"),
+                                 _engine_space(n, "graphs", 0, 0), GRAPH_FIELDS)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_graph_engines_sampled(self, n):
+        _assert_same_digests(("main2", "corlinear", "froberg"),
+                             _engine_space(n, "graphs", 150, 23 + n), GRAPH_FIELDS)
 
     def test_engine_and_generic_runs_agree(self):
         sp = [SearchSpace(n=5, d=3)]
@@ -307,6 +333,49 @@ class TestEngineAgainstGeneric:
             hmod.ENGINE_MIN_INSTANCES = old
         assert generic.instances_checked == engine.instances_checked
         assert generic.ok() and engine.ok()
+
+
+def _digest(**fields) -> SimpleNamespace:
+    return SimpleNamespace(**fields)
+
+
+#: (hook, digest, clauses): one digest per theorem that breaks it, with the
+#: clause text both routes record, and one that satisfies it
+CHECKER_CASES = [
+    ("topin", _digest(d=3, min_cm_t=1, ndp_threshold=2, serre_threshold=1, dual_chordless_min=5),
+     ["t=1: CM_t=True N(2,2)=False S_2=True chord<= 4=True"]),
+    ("topin", _digest(d=3, min_cm_t=None, ndp_threshold=0, serre_threshold=0,
+                      dual_chordless_min=0),
+     [f"t={t}: CM_t=False N(2,{3 - t})=True S_{3 - t}=True chord<= {5 - t}=True"
+      for t in range(4)]),
+    ("topin", _digest(d=3, min_cm_t=1, ndp_threshold=1, serre_threshold=1, dual_chordless_min=5),
+     []),
+    ("chardepth", _digest(buchsbaum=True, d=4, depth=2, min_cm_t=1, dual_is_cycle=True),
+     ["Buchsbaum but depth 2 < dim = 3"]),
+    ("chardepth", _digest(buchsbaum=True, d=3, depth=2, min_cm_t=1, dual_is_cycle=False),
+     ["non-CM=True but dual skeleton is-the-cycle=False"]),
+    ("chardepth", _digest(buchsbaum=False, d=3, depth=0, min_cm_t=2, dual_is_cycle=False), []),
+    ("corbk", _digest(buchsbaum=True, n=4, d=3, dims=(0, 0, 1, 0)),
+     ["H_1 != 0 but n = 4 < 2d - i = 5"]),
+    ("corbk", _digest(buchsbaum=True, n=5, d=3, dims=(0, 0, 1, 0)), []),
+    ("main2", _digest(n=5, dual_min_cm_t=0, chordless_min=4),
+     ["r=4: CM_(n-r)(dual clique)=True but chord condition=False",
+      "r=5: CM_(n-r)(dual clique)=True but chord condition=False"]),
+    ("main2", _digest(n=5, dual_min_cm_t=2, chordless_min=4), []),
+    ("corlinear", _digest(n=5, dual_min_cm_t=2, chordless_max=0, linear=True),
+     ["r=4 (r-chordal): CM_(n-r)=False but linear resolution=True",
+      "r=5 (r-chordal): CM_(n-r)=False but linear resolution=True"]),
+    ("corlinear", _digest(n=5, dual_min_cm_t=2, chordless_max=5, linear=False), []),
+    ("froberg", _digest(linear=True, chordless_min=4),
+     ["linear resolution=True but chordal=False"]),
+    ("froberg", _digest(linear=False, chordless_min=4), []),
+]
+
+
+@pytest.mark.parametrize("hook, digest, clauses", CHECKER_CASES,
+                         ids=[f"{c[0]}-{i}" for i, c in enumerate(CHECKER_CASES)])
+def test_every_checker_can_fail(hook, digest, clauses):
+    assert hmod._ENGINE_HOOKS[hook](digest) == clauses
 
 
 class TestCoverFilterBehaviors:
