@@ -35,6 +35,10 @@ Layout:
   orbit_reps      least slot mask of each S_n-orbit of slot masks, by DFS
                   through two generator OrFolds; the harness checks one
                   instance per orbit in exhaustive spaces.
+  deck_key        the vertex-deleted deck of the graph behind an edge-set
+                  or codimension-2 facet-set mask, as orbit_reps(n - 1, 2)
+                  of its cards from one packed OrFold: a complete class
+                  key for n <= 7, which the harness uses on n = 7 samples.
 
 Every table entry depends only on the isomorphism class of its complex
 or graph, so LinkTables and FlagTables compute one entry per orbit and
@@ -52,7 +56,7 @@ code.
 from __future__ import annotations
 
 from functools import cache
-from math import factorial
+from math import comb, factorial
 from typing import Callable
 
 from ._bits import compress_map, remap, size_subsets
@@ -348,6 +352,60 @@ def orbit_reps(n: int, k: int) -> list[int]:
     if total != size:
         raise EngineError(f"orbit sizes of ({n}, {k}) sum to {total}, not 2^{len(slots)}")
     return rep
+
+
+@cache
+def _deck_contrib(n: int) -> list[int]:
+    """Per pair of [n] (over size_subsets(n, 2)): its edge bit in each card
+    G - v, relabeled onto [n - 1], at bit v * C(n - 1, 2) (0 in card v
+    when the pair contains v+1).  Built once per n for both slot kinds."""
+    card_index = {mask: i for i, mask in enumerate(size_subsets(n - 1, 2))}
+    width = len(card_index)
+    pairs = size_subsets(n, 2)
+    contrib = [0] * len(pairs)
+    for v in range(n):
+        vbit = 1 << v
+        inside = [i for i, p in enumerate(pairs) if not p & vbit]
+        cards = remap([pairs[i] for i in inside], compress_map(((1 << n) - 1) ^ vbit))
+        for i, p in zip(inside, cards):
+            contrib[i] |= 1 << (v * width + card_index[p])
+    return contrib
+
+
+@cache
+def deck_key(n: int, k: int) -> Callable[[int], tuple[int, ...]]:
+    """key(s): the deck of the graph G behind slot mask ``s`` over
+    size_subsets(n, k), for k = 2 (G's edges) or k = n - 2 (the
+    complements of the facets are G's edges).
+
+    The deck is the sorted tuple of orbit_reps(n - 1, 2) of the n
+    vertex-deleted subgraphs G - v.  By Kelly-Ulam reconstruction, which
+    McKay verified by computer for every graph on 3 to 11 vertices, two
+    masks share a key iff their graphs (so their complexes) are
+    isomorphic; tests/test_orbits.py checks this on every mask for
+    n <= 6 and on the 1,044 classes at n = 7.  A key needs the 15-slot
+    n - 1 orbit table rather than a 2^21-entry one, so the harness keys
+    n = 7 samples with it.  One packed OR-fold read gives all n cards.
+    """
+    if not 3 <= n <= 7 or k not in (2, n - 2):
+        raise ValueError(f"decks key pairs or their complements on 3 <= n <= 7 vertices, "
+                         f"not ({n}, {k})")  # K2 and its complement share a deck
+    contrib = _deck_contrib(n)
+    if k != 2:  # facet slot -> its complement pair
+        pair_index = {mask: i for i, mask in enumerate(size_subsets(n, 2))}
+        nfull = (1 << n) - 1
+        contrib = [contrib[pair_index[nfull ^ f]] for f in size_subsets(n, k)]
+    fold = OrFold(contrib)  # C(n, 2) <= 2 * FOLD_BITS: read inline
+    lo, hi = fold.lo, fold.hi
+    rep = orbit_reps(n - 1, 2)
+    width = comb(n - 1, 2)
+    card = (1 << width) - 1
+    offsets = range(0, n * width, width)
+
+    def key(s: int) -> tuple[int, ...]:
+        cards = lo[s & FOLD_MASK] | hi[s >> FOLD_BITS]
+        return tuple(sorted([rep[cards >> o & card] for o in offsets]))
+    return key
 
 
 # ---------------------------------------------------------------------------

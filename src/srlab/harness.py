@@ -3,12 +3,16 @@
 Each registered theorem id pairs a clause checker with default search
 spaces pinned in ``verify_manifest.json``.  Spaces enumerate labeled
 instances in a fixed order; sampling is seeded and deduplicated.  Every
-checker is invariant under relabeling the vertices, so an exhaustive
-space of at most ``ORBIT_SLOT_LIMIT`` slots checks each S_n-orbit once,
-on its least slot mask (``_engine.orbit_reps``), while every labeled
-instance is still enumerated, counted and, when it fails, recorded on
-its own mask.  Every route filters instances with the same cover filter
-(``_engine.cover_filter``).
+checker is invariant under relabeling the vertices, so a space with an
+exact isomorphism-class key checks each class once, on its first-seen
+slot mask, while every labeled instance is still enumerated, counted
+and, when it fails, recorded on its own mask.  An exhaustive space of at
+most ``ORBIT_SLOT_LIMIT`` slots keys a mask by the least mask of its
+S_n-orbit (``_engine.orbit_reps``), which is also its first-seen one; a
+sample space of graphs or of codimension-2 complexes on ``DECK_KEY_N`` =
+7 vertices keys it by the vertex-deleted deck of its graph
+(``_engine.deck_key``).  Other spaces check every instance.  Every route
+filters instances with the same cover filter (``_engine.cover_filter``).
 
 The six engine-hooked theorems each have one clause function over a
 digest (``ComplexDigest`` or ``GraphDigest``).  Their registered
@@ -64,6 +68,7 @@ ENGINE_MIN_INSTANCES = 8192
 
 EXHAUSTIVE_SLOT_LIMIT = 24  # exhaustive mode allowed only when slots <= this
 ORBIT_SLOT_LIMIT = 21       # orbit tables (2^slots entries) up to n = 7 codim-2 and graphs
+DECK_KEY_N = 7              # sample spaces keyed by their deck (n - 1 orbit table: 15 slots)
 SAMPLE_ATTEMPT_FACTOR = 300
 
 
@@ -135,7 +140,8 @@ class SearchSpace:
         ``keep`` is the instance filter (cover / no-isolated-vertices):
         exhaustive mode scans everything and skips rejects; sample mode
         keeps drawing until ``count`` distinct accepted masks have been
-        produced (bounded by an attempt limit).
+        produced, bounded by an attempt limit, or until every one of the
+        2^K - 1 masks has been drawn.
         """
         K = self.slot_count()
         if self.mode == "exhaustive":
@@ -146,7 +152,8 @@ class SearchSpace:
             produced = 0
             attempts = 0
             limit = self.count * SAMPLE_ATTEMPT_FACTOR
-            while produced < self.count and attempts < limit:
+            total = (1 << K) - 1
+            while produced < self.count and attempts < limit and len(seen) < total:
                 attempts += 1
                 s = rng.randrange(1, 1 << K)
                 if s in seen:
@@ -607,10 +614,12 @@ def register_theorem(theorem_id: str, kind: str, checker, engine_hook: str | Non
 
     The checker must be invariant under relabeling the vertices: whether
     it returns clauses may not change when the instance is permuted.  An
-    exhaustive space checks each S_n-orbit once, on its representative;
-    a recorded member that passes while its representative fails raises
-    ``EngineError``.  ``engine_hook`` names the theorem's clause function
-    in ``_ENGINE_HOOKS``; on a space the table engine takes, that function
+    exhaustive space checks each S_n-orbit once, on its least mask, and
+    an n = 7 sample of graphs or codimension-2 complexes checks each
+    isomorphism class once, on its first-seen mask; a recorded member
+    that passes while that mask fails raises ``EngineError``.
+    ``engine_hook`` names the theorem's clause function in
+    ``_ENGINE_HOOKS``; on a space the table engine takes, that function
     reads digests from the engine instead of calling ``checker``.
     """
     THEOREMS[theorem_id] = TheoremDef(theorem_id, kind, checker, engine_hook)
@@ -741,43 +750,63 @@ def _route(td: TheoremDef, space: SearchSpace, field: FieldSpec,
     return lambda s: checker(decode(s), field)
 
 
+def _class_key(space: SearchSpace) -> Callable[[int], int | tuple[int, ...]] | None:
+    """The isomorphism-class key on a non-fixture space's slot masks, or None.
+
+    Exhaustive spaces of at most ``ORBIT_SLOT_LIMIT`` slots key a mask by
+    the least mask of its S_n-orbit; sample spaces of graphs or of
+    codimension-2 complexes on ``DECK_KEY_N`` vertices key it by the deck
+    of its graph (``_engine.deck_key``).  Every other space has no key.
+    """
+    if space.mode == "exhaustive":
+        if space.slot_count() <= ORBIT_SLOT_LIMIT:
+            return _engine.orbit_reps(space.n, space.slot_size).__getitem__
+        return None
+    if space.n == DECK_KEY_N and (space.kind == "graph" or space.d == space.n - 2):
+        return _engine.deck_key(space.n, space.slot_size)
+    return None
+
+
 def _run_space(td: TheoremDef, space: SearchSpace, field: FieldSpec, cap: int,
                counterexamples: list[dict]) -> tuple[int, bool]:
     """Check one space's instances; returns (instances checked, truncated).
 
-    An exhaustive space memoizes verdicts by S_n-orbit: each orbit is
-    checked on its least mask, and a member of a failing orbit is
-    re-checked on its own mask when it is recorded, so the records are
-    those of a per-instance run.  Sample and fixture spaces check every
-    instance.
+    A space with a class key (``_class_key``) memoizes verdicts by class:
+    each class is checked on its first-seen mask (on an exhaustive scan,
+    its least), and a later member of a failing class is re-checked on
+    its own mask when it is recorded, so the records are those of a
+    per-instance run.  Other spaces check every instance.
     """
     decode = _decoder(space)
     check = _route(td, space, field, decode)
-    reps = None
+    key = None
     if space.kind == "fixture":
         masks: Iterator[int] | list[int] = [-1]
     else:
         masks = space.iter_masks(_keep(space))
-        if space.mode == "exhaustive" and space.slot_count() <= ORBIT_SLOT_LIMIT:
-            reps = _engine.orbit_reps(space.n, space.slot_size)
-    verdicts: dict[int, list[str]] = {}  # orbit representative -> its clauses
+        key = _class_key(space)
+    verdicts: dict[object, list[str]] = {}  # class key -> its first-seen mask's clauses
+    failing: dict[object, int] = {}         # class key -> that mask, when it fails
     checked = 0
     truncated = False
     for s in masks:
         checked += 1
-        if reps is None:
+        if key is None:
             clauses = check(s)
         else:
-            r = reps[s]
-            clauses = verdicts.get(r)
+            c = key(s)
+            clauses = verdicts.get(c)
             if clauses is None:
-                clauses = verdicts[r] = check(r)
-            if clauses and r != s and len(counterexamples) < cap:
+                clauses = verdicts[c] = check(s)
+                if clauses:
+                    failing[c] = s
+            elif clauses and len(counterexamples) < cap:
                 clauses = check(s)
                 if not clauses:
                     raise _engine.EngineError(
-                        f"{td.theorem_id}: mask {s} passes but its orbit representative "
-                        f"{r} fails; the checker is not invariant under relabeling")
+                        f"{td.theorem_id}: mask {s} passes but {failing[c]}, the first-seen "
+                        f"mask of its class, fails; the checker is not invariant under "
+                        f"relabeling")
         if clauses:
             if len(counterexamples) >= cap:
                 truncated = True

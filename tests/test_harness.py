@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from functools import reduce
 from math import comb
 from operator import or_
@@ -22,7 +23,8 @@ from srlab import (
     verify_theorem,
 )
 from srlab import harness as hmod
-from srlab._engine import EngineError
+from srlab._bits import labels_of, pick
+from srlab._engine import EngineError, deck_key
 from srlab.harness import (
     HarnessError,
     THEOREMS,
@@ -55,6 +57,29 @@ class TestSpaces:
         b = [c.facet_masks for c in enumerate_pure_complexes(sp)]
         assert a == b
         assert len(set(a)) == len(a) == 20
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (3, "graphs")])
+    def test_sampling_stops_once_every_mask_is_drawn(self, monkeypatch, n, d):
+        draws = []
+
+        class CountingRandom(random.Random):
+            def randrange(self, *args):
+                draws.append(args)
+                return super().randrange(*args)
+
+        monkeypatch.setattr(hmod, "random", SimpleNamespace(Random=CountingRandom))
+        sp = SearchSpace(n=n, d=d, mode="sample", count=200000, seed=1)
+        masks = list(sp.iter_masks(hmod._keep(sp)))
+        # the draws of a run that stops at the first draw completing the space
+        total = (1 << sp.slot_count()) - 1
+        rng = random.Random(1)
+        drawn: list[int] = []
+        while len(set(drawn)) < total:
+            drawn.append(rng.randrange(1, total + 1))
+        assert len(draws) == len(drawn)
+        keep = hmod._keep(sp)
+        first_draws = [s for i, s in enumerate(drawn) if s not in drawn[:i]]
+        assert masks == [s for s in first_draws if keep(s)]
 
     def test_graph_enumeration_no_isolated(self):
         gs = list(enumerate_graphs(SearchSpace(n=3, d="graphs")))
@@ -183,8 +208,8 @@ class TestFalseClaimMachinery:
 
 
 class TestOrbitMemo:
-    """Exhaustive spaces check one instance per S_n-orbit; the records must
-    still be those of a per-instance run."""
+    """Exhaustive spaces check one instance per S_n-orbit, and n = 7 samples
+    one per deck; the records must still be those of a per-instance run."""
 
     def test_failing_invariant_checker_records_every_labeled_mask(self):
         def three_facets(c, field):
@@ -225,12 +250,75 @@ class TestOrbitMemo:
         try:
             with pytest.raises(EngineError):
                 verify_theorem("test-labeled", [SearchSpace(n=5, d=3, cover=False)])
-            # sampled spaces check every instance, so nothing is assumed there
+            # an n = 5 sample has no class key: every instance is checked
             r = verify_theorem("test-labeled", [SearchSpace(
                 n=5, d=3, mode="sample", count=50, seed=3, cover=False)])
             assert not r.ok()
         finally:
             THEOREMS.pop("test-labeled")
+
+    def test_sampled_n7_failing_class_records_every_drawn_mask(self):
+        def fourteen_edges(g, field):
+            # label-invariant verdict, label-dependent clause text
+            return [f"14 edges: {g.edges()}"] if len(g.edges()) == 14 else []
+
+        sp = SearchSpace(n=7, d="graphs", mode="sample", count=300, seed=1)
+        register_theorem("test-fourteen-edges", "graph", fourteen_edges)
+        try:
+            r = verify_theorem("test-fourteen-edges", [sp], cap=5)
+        finally:
+            THEOREMS.pop("test-fourteen-edges")
+        slots = sp.slot_masks()
+        drawn = list(sp.iter_masks(hmod._keep(sp)))
+        expected = []
+        for s in drawn:
+            g = Graph(7, [labels_of(pair) for pair in pick(slots, s)])
+            clauses = fourteen_edges(g, GF2)
+            if clauses:
+                expected.append({"space": sp.to_json(), "mask": s, "n": 7,
+                                 "edges": [list(e) for e in g.edges()], "clauses": clauses})
+        assert len(expected) > 5
+        # a recorded mask past the first-seen one of its class is re-checked
+        key = deck_key(7, 2)
+        first = {}
+        for s in drawn:
+            first.setdefault(key(s), s)
+        assert any(first[key(rec["mask"])] != rec["mask"] for rec in expected[:5])
+        assert r.counterexamples == expected[:5]
+        assert r.truncated and not r.ok()
+        assert r.instances_checked == len(drawn) == 300
+
+    @pytest.mark.parametrize("d", ["graphs", 5])
+    def test_sampled_n7_checks_once_per_class(self, d):
+        calls = []
+
+        def counting(inst, field):
+            calls.append(inst)
+            return []
+
+        kind = "graph" if d == "graphs" else "complex"
+        sp = SearchSpace(n=7, d=d, mode="sample", count=400, seed=2)
+        register_theorem("test-counting", kind, counting)
+        try:
+            r = verify_theorem("test-counting", [sp])
+        finally:
+            THEOREMS.pop("test-counting")
+        key = deck_key(7, sp.slot_size)
+        classes = {key(s) for s in sp.iter_masks(hmod._keep(sp))}
+        assert r.ok() and r.instances_checked == 400
+        assert len(calls) == len(classes) < 400
+
+    def test_non_invariant_checker_is_caught_on_n7_sample(self):
+        def has_edge_12(g, field):
+            return ["has {1,2}"] if (1, 2) in g.edges() else []
+
+        register_theorem("test-labeled-graph", "graph", has_edge_12)
+        try:
+            with pytest.raises(EngineError):
+                verify_theorem("test-labeled-graph", [SearchSpace(
+                    n=7, d="graphs", mode="sample", count=500, seed=3)])
+        finally:
+            THEOREMS.pop("test-labeled-graph")
 
     def test_checks_fall_to_orbit_count(self):
         calls = []

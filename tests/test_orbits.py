@@ -4,8 +4,10 @@ invariance of the engine digests that makes memoizing by orbit sound.
 ``orbit_reps(n, k)[s]`` must be the least slot mask in the S_n-orbit of
 ``s``; the class counts are those of OEIS A000088 (graphs on n
 unlabeled vertices), both for edge sets (k = 2) and for facet sets of
-codimension-2 complexes (k = n - 2, the complements of edges).  Every
-digest the engine checks must then be equal at ``s`` and at ``rep[s]``.
+codimension-2 complexes (k = n - 2, the complements of edges).
+``deck_key(n, k)``, the class key of sampled n = 7 spaces, must be equal
+at two masks iff their orbit representatives are.  Every digest the
+engine checks must then be equal at ``s`` and at ``rep[s]``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import pytest
 from srlab import SearchSpace
 from srlab import harness as hmod
 from srlab._bits import size_subsets
-from srlab._engine import codim2_engine, cover_filter, orbit_reps, pure_space_engine
+from srlab._engine import codim2_engine, cover_filter, deck_key, orbit_reps, pure_space_engine
 
 A000088 = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 SAMPLE_N6 = 300  # seeded masks per n = 6 space
@@ -76,6 +78,37 @@ def test_reps_match_brute_force_relabeling(n, k):
     rep = orbit_reps(n, k)
     for s in range(len(rep)):
         assert rep[s] == _brute_rep(n, k, s), (n, k, s)
+
+
+# ---------------------------------------------------------------------------
+# the deck: a complete class key for edge sets and codimension-2 facet sets
+
+
+@pytest.mark.parametrize("n, k", _cases(range(3, 7)))
+def test_deck_key_separates_exactly_the_orbits(n, k):
+    key = deck_key(n, k)
+    rep = orbit_reps(n, k)
+    classes: dict = {}
+    for s in range(len(rep)):
+        classes.setdefault(key(s), set()).add(rep[s])
+    assert all(len(reps) == 1 for reps in classes.values()), (n, k)  # a key, one class
+    assert len(classes) == A000088[n], (n, k)                         # a class, one key
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", [2, 5])
+def test_deck_key_n7(k):
+    key = deck_key(7, k)
+    rep = orbit_reps(7, k)
+    keys = {r: key(r) for r in set(rep)}
+    assert len(keys) == len(set(keys.values())) == A000088[7]
+    assert all(key(s) == keys[rep[s]] for s in range(len(rep)))
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (2, 0), (5, 1), (6, 3), (8, 2)])
+def test_deck_key_refuses_other_spaces(n, k):
+    with pytest.raises(ValueError):
+        deck_key(n, k)
 
 
 # ---------------------------------------------------------------------------
