@@ -33,8 +33,9 @@ Layout:
                   the graphs behind their duals: the dual's 1-skeleton,
                   the N_{2,.} threshold, depth >= d-1 and full linearity.
   orbit_reps      least slot mask of each S_n-orbit of slot masks, by DFS
-                  through two generator OrFolds; the harness checks one
-                  instance per orbit in exhaustive spaces.
+  orbit_classes   through two generator OrFolds, and each orbit's (least
+                  mask, size) from the same DFS; the harness checks and
+                  counts exhaustive spaces one orbit at a time.
   deck_key        the vertex-deleted deck of the graph behind an edge-set
                   or codimension-2 facet-set mask, as orbit_reps(n - 1, 2)
                   of its cards from one packed OrFold: a complete class
@@ -308,13 +309,8 @@ def _relabel_fold(slots: list[int], perm: list[int]) -> OrFold:
 
 
 @cache
-def orbit_reps(n: int, k: int) -> list[int]:
-    """rep[s] = the least slot mask in the S_n-orbit of s, where slot masks
-    are sets of k-subsets of [n] over size_subsets(n, k) (built once).
-
-    LinkTables and FlagTables build the tables of at most 15 slots they
-    read; the harness builds the rest (up to 21 slots) lazily.
-    """
+def _orbits(n: int, k: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """(orbit_reps(n, k), orbit_classes(n, k)) from one DFS (built once)."""
     slots = size_subsets(n, k)
     if len(slots) > 2 * FOLD_BITS:
         raise ValueError(f"orbit tables need at most {2 * FOLD_BITS} slots, "
@@ -329,6 +325,7 @@ def orbit_reps(n: int, k: int) -> list[int]:
               for g in gens]
     group_order = factorial(n)
     rep = [-1] * size
+    classes: list[tuple[int, int]] = []
     total = 0
     for s in range(size):
         if rep[s] >= 0:
@@ -348,10 +345,31 @@ def orbit_reps(n: int, k: int) -> list[int]:
         if group_order % count:
             raise EngineError(f"orbit of {s} in ({n}, {k}) has {count} masks, "
                               f"which does not divide {n}!")
+        classes.append((s, count))
         total += count
     if total != size:
         raise EngineError(f"orbit sizes of ({n}, {k}) sum to {total}, not 2^{len(slots)}")
-    return rep
+    return rep, classes
+
+
+def orbit_reps(n: int, k: int) -> list[int]:
+    """rep[s] = the least slot mask in the S_n-orbit of s, where slot masks
+    are sets of k-subsets of [n] over size_subsets(n, k).
+
+    LinkTables and FlagTables build the tables of at most 15 slots they
+    read; the harness builds the rest (up to 21 slots) lazily.
+    """
+    return _orbits(n, k)[0]
+
+
+def orbit_classes(n: int, k: int) -> list[tuple[int, int]]:
+    """(least mask, orbit size) of every S_n-orbit of slot masks over
+    size_subsets(n, k), by increasing least mask; the sizes sum to 2^C(n, k).
+
+    Counted by the same DFS as orbit_reps; the harness walks this list
+    on exhaustive spaces instead of the labeled masks.
+    """
+    return _orbits(n, k)[1]
 
 
 @cache

@@ -1,18 +1,20 @@
 """Machine verification of the theorem catalogue over desk-scale spaces.
 
 Each registered theorem id pairs a clause checker with default search
-spaces pinned in ``verify_manifest.json``.  Spaces enumerate labeled
+spaces pinned in ``verify_manifest.json``.  Spaces define labeled
 instances in a fixed order; sampling is seeded and deduplicated.  Every
-checker is invariant under relabeling the vertices, so a space with an
-exact isomorphism-class key checks each class once, on its first-seen
-slot mask, while every labeled instance is still enumerated, counted
-and, when it fails, recorded on its own mask.  An exhaustive space of at
-most ``ORBIT_SLOT_LIMIT`` slots keys a mask by the least mask of its
-S_n-orbit (``_engine.orbit_reps``), which is also its first-seen one; a
-sample space of graphs or of codimension-2 complexes on ``DECK_KEY_N`` =
-7 vertices keys it by the vertex-deleted deck of its graph
-(``_engine.deck_key``).  Other spaces check every instance.  Every route
-filters instances with the same cover filter (``_engine.cover_filter``).
+checker, and the cover filter (``_engine.cover_filter``) that every
+route applies, is invariant under relabeling the vertices.  So an
+exhaustive space of at most ``ORBIT_SLOT_LIMIT`` slots is walked one
+S_n-orbit at a time (``_engine.orbit_classes``): the filter and the
+check run on the orbit's least mask, and the orbit's size is added to
+the count.  The labeled masks are scanned only when some orbit fails,
+so that every failing instance is recorded on its own mask, in mask
+order.  A sample space of graphs or of codimension-2 complexes on
+``DECK_KEY_N`` = 7 vertices checks each isomorphism class once, keyed by
+the vertex-deleted deck of its graph (``_engine.deck_key``), while every
+drawn instance is counted and, when it fails, recorded.  Other spaces
+check every instance.
 
 The six engine-hooked theorems each have one clause function over a
 digest (``ComplexDigest`` or ``GraphDigest``).  Their registered
@@ -615,9 +617,10 @@ def register_theorem(theorem_id: str, kind: str, checker, engine_hook: str | Non
     The checker must be invariant under relabeling the vertices: whether
     it returns clauses may not change when the instance is permuted.  An
     exhaustive space checks each S_n-orbit once, on its least mask, and
-    an n = 7 sample of graphs or codimension-2 complexes checks each
-    isomorphism class once, on its first-seen mask; a recorded member
-    that passes while that mask fails raises ``EngineError``.
+    counts the orbit's size; an n = 7 sample of graphs or codimension-2
+    complexes checks each isomorphism class once, on its first-seen mask.
+    A recorded member of a failing class is checked on its own mask, and
+    one that passes raises ``EngineError``.
     ``engine_hook`` names the theorem's clause function in
     ``_ENGINE_HOOKS``; on a space the table engine takes, that function
     reads digests from the engine instead of calling ``checker``.
@@ -750,38 +753,80 @@ def _route(td: TheoremDef, space: SearchSpace, field: FieldSpec,
     return lambda s: checker(decode(s), field)
 
 
-def _class_key(space: SearchSpace) -> Callable[[int], int | tuple[int, ...]] | None:
-    """The isomorphism-class key on a non-fixture space's slot masks, or None.
+def _class_key(space: SearchSpace) -> Callable[[int], tuple[int, ...]] | None:
+    """The isomorphism-class key on the slot masks of a space that
+    ``_run_space`` enumerates (a sample space, or an exhaustive space too
+    large for the orbit walk), or None.
 
-    Exhaustive spaces of at most ``ORBIT_SLOT_LIMIT`` slots key a mask by
-    the least mask of its S_n-orbit; sample spaces of graphs or of
-    codimension-2 complexes on ``DECK_KEY_N`` vertices key it by the deck
-    of its graph (``_engine.deck_key``).  Every other space has no key.
+    Sample spaces of graphs or of codimension-2 complexes on ``DECK_KEY_N``
+    vertices key a mask by the deck of its graph (``_engine.deck_key``);
+    every other such space has no key.
     """
-    if space.mode == "exhaustive":
-        if space.slot_count() <= ORBIT_SLOT_LIMIT:
-            return _engine.orbit_reps(space.n, space.slot_size).__getitem__
-        return None
     if space.n == DECK_KEY_N and (space.kind == "graph" or space.d == space.n - 2):
         return _engine.deck_key(space.n, space.slot_size)
     return None
+
+
+def _run_orbits(td: TheoremDef, space: SearchSpace, check: Callable[[int], list[str]],
+                decode: Callable[[int], Complex | Graph], cap: int,
+                counterexamples: list[dict]) -> tuple[int, bool]:
+    """``_run_space`` on an exhaustive space of at most ``ORBIT_SLOT_LIMIT``
+    slots: filter and check each S_n-orbit's least mask, and count the
+    orbit's size (``_engine.orbit_classes``).
+
+    Only when some orbit fails are the labeled masks scanned, once and in
+    increasing order: each member of a failing orbit is recorded on its
+    own mask up to ``cap``, a member other than the least is re-checked,
+    and one that passes raises ``EngineError``.
+    """
+    keep = _keep(space)
+    checked = 0
+    failing: dict[int, list[str]] = {}  # least mask of a failing orbit -> its clauses
+    # the empty mask is an orbit of its own and no instance
+    for r, size in _engine.orbit_classes(space.n, space.slot_size)[1:]:
+        if keep is None or keep(r):
+            checked += size
+            clauses = check(r)
+            if clauses:
+                failing[r] = clauses
+    if not failing:
+        return checked, False
+    rep = _engine.orbit_reps(space.n, space.slot_size)
+    for s in range(1, len(rep)):
+        clauses = failing.get(rep[s])
+        if clauses is None:
+            continue
+        if len(counterexamples) >= cap:
+            return checked, True
+        if s != rep[s]:
+            clauses = check(s)
+            if not clauses:
+                raise _engine.EngineError(
+                    f"{td.theorem_id}: mask {s} passes but {rep[s]}, the least mask of its "
+                    f"orbit, fails; the checker is not invariant under relabeling")
+        counterexamples.append(_record(space, s, decode(s), clauses))
+    return checked, False
 
 
 def _run_space(td: TheoremDef, space: SearchSpace, field: FieldSpec, cap: int,
                counterexamples: list[dict]) -> tuple[int, bool]:
     """Check one space's instances; returns (instances checked, truncated).
 
-    A space with a class key (``_class_key``) memoizes verdicts by class:
-    each class is checked on its first-seen mask (on an exhaustive scan,
-    its least), and a later member of a failing class is re-checked on
-    its own mask when it is recorded, so the records are those of a
-    per-instance run.  Other spaces check every instance.
+    An exhaustive space of at most ``ORBIT_SLOT_LIMIT`` slots is checked
+    and counted one S_n-orbit at a time (``_run_orbits``).  Other spaces
+    enumerate their instances.  A sample space with a class key
+    (``_class_key``) memoizes verdicts by class: each class is checked on
+    its first-seen mask, and a later member of a failing class is
+    re-checked on its own mask when it is recorded, so the records are
+    those of a per-instance run.  The rest check every instance.
     """
     decode = _decoder(space)
     check = _route(td, space, field, decode)
     key = None
     if space.kind == "fixture":
         masks: Iterator[int] | list[int] = [-1]
+    elif space.mode == "exhaustive" and space.slot_count() <= ORBIT_SLOT_LIMIT:
+        return _run_orbits(td, space, check, decode, cap, counterexamples)
     else:
         masks = space.iter_masks(_keep(space))
         key = _class_key(space)

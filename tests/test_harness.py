@@ -336,6 +336,83 @@ class TestOrbitMemo:
         assert len(calls) == 33  # the 34 graphs on 5 unlabeled vertices, less the empty one
 
 
+def _covering_count(n: int, k: int) -> int:
+    """Nonempty sets of k-subsets of [n] whose union is [n], by
+    inclusion-exclusion over the vertices left uncovered."""
+    return sum((-1) ** j * comb(n, j) * 2 ** comb(n - j, k) for j in range(n + 1))
+
+
+class TestOrbitWeights:
+    """Exhaustive spaces count each S_n-orbit by its size; the counts must
+    match inclusion-exclusion, and the failing path must give the records
+    of a per-instance run."""
+
+    @pytest.mark.parametrize("tid", sorted(load_manifest()))
+    def test_instances_checked_is_the_covering_count(self, tid):
+        spaces = [sp for sp in default_spaces(tid)
+                  if sp.kind != "fixture" and sp.mode == "exhaustive" and sp.n <= 6]
+        for sp in spaces:
+            assert verify_theorem(tid, [sp]).instances_checked == \
+                _covering_count(sp.n, sp.slot_size), (tid, sp)
+
+    #: covered orbits: graphs on 6 vertices with no isolated vertex (OEIS
+    #: A002494); a codimension-2 complex on [n] misses a vertex iff every
+    #: edge of its complement graph contains that vertex, so its covered
+    #: orbits are the nonempty graphs on n vertices (A000088 less one) that
+    #: are not a star K_{1,m}, m = 1..n-1
+    @pytest.mark.parametrize("n, d, orbits", [(5, 3, 34 - 1 - 4), (6, 4, 156 - 1 - 5),
+                                              (6, "graphs", 122)])
+    def test_checks_once_per_covered_orbit(self, n, d, orbits):
+        calls = []
+
+        def counting(inst, field):
+            calls.append(inst)
+            return []
+
+        sp = SearchSpace(n=n, d=d)
+        register_theorem("test-counting", sp.kind, counting)
+        try:
+            r = verify_theorem("test-counting", [sp])
+        finally:
+            THEOREMS.pop("test-counting")
+        assert r.ok() and r.instances_checked == _covering_count(n, sp.slot_size)
+        assert len(calls) == orbits
+
+    @pytest.mark.parametrize("cap", [16, 19, 200])
+    def test_failing_classes_across_spaces_give_per_instance_records(self, cap):
+        def three_facets(c, field):
+            # label-invariant verdict, label-dependent clause text
+            return [f"3 facets: {c.facets()}"] if len(c.facet_masks) == 3 else []
+
+        spaces = [SearchSpace(n=4, d=2), SearchSpace(n=5, d=3)]
+        register_theorem("test-three-facets", "complex", three_facets)
+        try:
+            r = verify_theorem("test-three-facets", spaces, cap=cap)
+        finally:
+            THEOREMS.pop("test-three-facets")
+        expected = []
+        checked = 0
+        for sp in spaces:
+            slots = sp.slot_masks()
+            for s in range(1, 1 << len(slots)):
+                facets = tuple(pick(slots, s))
+                if reduce(or_, facets) != (1 << sp.n) - 1:
+                    continue
+                checked += 1
+                c = Complex(sp.n, facets, _trusted=True)
+                clauses = three_facets(c, GF2)
+                if clauses:
+                    expected.append({"space": sp.to_json(), "mask": s, "n": sp.n,
+                                     "facets": [list(f) for f in c.facets()],
+                                     "clauses": clauses})
+        # 16 of the 3-edge graphs on [4] cover it: the cap 16 ends the first
+        # space, 19 falls inside the second, 200 lies past every failure
+        assert sum(rec["n"] == 4 for rec in expected) == 16 < 19 < len(expected) < 200
+        assert r.counterexamples == expected[:cap]
+        assert r.truncated == (len(expected) > cap)
+        assert r.instances_checked == checked
+
+
 #: digest fields per kind of space the engine takes
 COMPLEX_FIELDS = ("min_cm_t", "serre_threshold", "dims", "ndp_threshold", "dual_adj",
                   "dual_chordless_min", "dual_is_cycle", "buchsbaum", "depth")

@@ -5,23 +5,34 @@ invariance of the engine digests that makes memoizing by orbit sound.
 ``s``; the class counts are those of OEIS A000088 (graphs on n
 unlabeled vertices), both for edge sets (k = 2) and for facet sets of
 codimension-2 complexes (k = n - 2, the complements of edges).
-``deck_key(n, k)``, the class key of sampled n = 7 spaces, must be equal
-at two masks iff their orbit representatives are.  Every digest the
-engine checks must then be equal at ``s`` and at ``rep[s]``.
+``orbit_classes(n, k)`` must list each representative with the size of
+its orbit, and the cover filter must be constant on every orbit, which
+is what lets the harness filter, check and count exhaustive spaces one
+orbit at a time.  ``deck_key(n, k)``, the class key of sampled n = 7
+spaces, must be equal at two masks iff their orbit representatives are.
+Every digest the engine checks must then be equal at ``s`` and at
+``rep[s]``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from srlab import SearchSpace
 from srlab import harness as hmod
 from srlab._bits import size_subsets
-from srlab._engine import codim2_engine, cover_filter, deck_key, orbit_reps, pure_space_engine
+from srlab._engine import (
+    codim2_engine,
+    cover_filter,
+    deck_key,
+    orbit_classes,
+    orbit_reps,
+    pure_space_engine,
+)
 
 A000088 = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 SAMPLE_N6 = 300  # seeded masks per n = 6 space
@@ -78,6 +89,38 @@ def test_reps_match_brute_force_relabeling(n, k):
     rep = orbit_reps(n, k)
     for s in range(len(rep)):
         assert rep[s] == _brute_rep(n, k, s), (n, k, s)
+
+
+# ---------------------------------------------------------------------------
+# orbit weights: what the exhaustive harness counts instead of labeled masks
+
+
+#: every (n, k) with 1 <= k <= n whose orbit table has at most 15 slots
+SMALL_TABLES = [(n, k) for n in range(1, 16) for k in range(1, n + 1) if comb(n, k) <= 15]
+
+
+@pytest.mark.parametrize("n, k", SMALL_TABLES)
+def test_orbit_classes_are_the_counted_reps(n, k):
+    assert orbit_classes(n, k) == sorted(Counter(orbit_reps(n, k)).items())
+
+
+def _assert_cover_filter_constant_on_orbits(n: int, k: int) -> None:
+    keep = cover_filter(n, k)
+    rep = orbit_reps(n, k)
+    assert any(map(keep, range(len(rep))))
+    assert all(keep(s) == keep(rep[s]) for s in range(len(rep))), (n, k)
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 6) for k in range(1, n + 1)])
+def test_cover_filter_is_constant_on_orbits(n, k):
+    _assert_cover_filter_constant_on_orbits(n, k)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", [2, 5])
+def test_orbit_weights_n7(k):
+    assert orbit_classes(7, k) == sorted(Counter(orbit_reps(7, k)).items())
+    _assert_cover_filter_constant_on_orbits(7, k)
 
 
 # ---------------------------------------------------------------------------
