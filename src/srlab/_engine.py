@@ -13,9 +13,10 @@ tests/test_orbits.py checks that every digest is invariant under
 relabeling the vertices.
 
 Layout:
-  LevelHom        GF(2) homology from per-cardinality face bitmaps; face
-                  closure, clique levels and boundary columns are table
-                  reads (OR-folds and per-chunk column tuples).
+  LevelHom        GF(2) homology from per-cardinality face bitmaps, reduced
+                  from the top level down with clearing; face closure,
+                  clique levels and boundary columns are table reads
+                  (OR-folds and per-chunk column tuples).
   OrFold          the OR of per-slot contributions over a slot mask, read
                   with one table lookup per 11-slot chunk; every
                   per-instance face-bitmap map here is one, and so is
@@ -62,7 +63,7 @@ from typing import Callable
 
 from ._bits import compress_map, remap, size_subsets
 from .graphs import reachable
-from .homology import rank_gf2_columns
+from .homology import pivot_rows_gf2, rank_gf2_columns
 
 _SERRE_NONE = 99  # "no Serre violation anywhere" (dimensions here are < 99)
 
@@ -153,7 +154,14 @@ class LevelHom:
 
     def dims_from_levels(self, masks: list[int]) -> tuple[int, ...]:
         """Homology dims given per-level face bitmaps (masks[0] = 1 for the
-        empty face; the complex must be closed under taking subsets)."""
+        empty face; the complex must be closed under taking subsets).
+
+        The boundary maps are reduced from the top level down, with
+        clearing: each leading row of the reduced map out of level k + 1
+        is the last k-face of a boundary, so its own column is a sum of
+        earlier columns; it is masked out of level k before that level
+        is reduced, which leaves every rank as it was.
+        """
         top = len(masks) - 1
         while top > 0 and not masks[top]:
             top -= 1
@@ -162,8 +170,10 @@ class LevelHom:
         if top:
             ranks[1] = 1  # every vertex bounds the empty face
         columns = self.boundary_columns
-        for lv in range(2, top + 1):
-            ranks[lv] = rank_gf2_columns(columns(lv, masks[lv]))
+        cleared = 0  # leading rows of the map out of level lv + 1
+        for lv in range(top, 1, -1):
+            cleared = pivot_rows_gf2(columns(lv, masks[lv] & ~cleared))
+            ranks[lv] = cleared.bit_count()
         return tuple(counts[lv] - ranks[lv] - ranks[lv + 1] for lv in range(top + 1))
 
 

@@ -75,10 +75,12 @@ def hochster_betti(
 ) -> BettiTable:
     """Betti table of I_Delta (or K[Delta]) by summing restriction homology.
 
-    Restriction homology is memoized on the occupied-vertex shape, so
-    repeated subsets across calls are free.  The void complex is refused
-    (its ideal would be the unit ideal); the irrelevant complex works
-    and yields the Koszul table of the maximal ideal.  n is capped by
+    A restriction whose facets share a vertex is a cone, acyclic over
+    every field, and is skipped before it is built.  The homology of the
+    others is memoized on the occupied-vertex shape, so repeated subsets
+    across calls are free.  The void complex is refused (its ideal would
+    be the unit ideal); the irrelevant complex works and yields the
+    Koszul table of the maximal ideal.  n is capped by
     ``size_bound`` (the sum has 2^n terms).
     """
     if subject not in ("ideal", "ring"):
@@ -90,7 +92,17 @@ def hochster_betti(
 
     ideal: dict[tuple[int, int], int] = {}
     facet_masks = c.facet_masks
+    occupied = 0
+    for f in facet_masks:
+        occupied |= f
     for w in range(1, 1 << c.n):
+        if w & occupied:
+            apex = w
+            for f in facet_masks:
+                if f & w:
+                    apex &= f
+            if apex:
+                continue  # the facets meeting W share a vertex: a cone, acyclic
         j = w.bit_count()
         restricted = antichain(f & w for f in facet_masks)
         dims = dims_cached(restricted, field)

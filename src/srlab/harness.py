@@ -19,9 +19,9 @@ check every instance.
 The six engine-hooked theorems each have one clause function over a
 digest (``ComplexDigest`` or ``GraphDigest``).  Their registered
 checkers build the digest from the public modules over any field; on
-large exhaustive GF(2) spaces the same clause function reads digests
-from the table engine in ``_engine`` instead.  The test suite compares
-the two providers field by field.  Expected counterexample count for
+every GF(2) space the table engine covers (``_engine_eligible``) the
+same clause function reads digests from ``_engine`` instead.  The test
+suite compares the two providers field by field.  Expected counterexample count for
 every registered id over its default spaces: zero.
 """
 from __future__ import annotations
@@ -64,9 +64,6 @@ from .criteria import (
 from .fixtures import fixture_complex
 from .graphs import Graph, chordless_span, clique_complex, is_cycle_graph
 from .homology import GF2, FieldSpec, reduced_homology
-
-#: spaces at least this large (2^slots) go through the table engine
-ENGINE_MIN_INSTANCES = 8192
 
 EXHAUSTIVE_SLOT_LIMIT = 24  # exhaustive mode allowed only when slots <= this
 ORBIT_SLOT_LIMIT = 21       # orbit tables (2^slots entries) up to n = 7 codim-2 and graphs
@@ -723,9 +720,17 @@ def _record(space: SearchSpace, mask: int, inst: Complex | Graph, clauses: list[
 
 
 def _engine_eligible(td: TheoremDef, space: SearchSpace, field: FieldSpec) -> bool:
+    """Whether the table engine supplies the digests on this space.
+
+    The rule reads the field, the theorem's hook and the space's shape,
+    never its size: GF(2) only, no fixture, and a space whose tables
+    exist.  thm-topin and prop-chardepth take covered codimension-2
+    spaces on 3 <= n <= 7 vertices; thm-main2, cor-linear and froberg
+    take graph spaces on 3 <= n <= 7 vertices without isolated vertices;
+    cor-bk takes pure spaces on n <= 7 vertices whose vertex links have
+    at most 15 facet slots (C(n-1, d-1) <= 15).
+    """
     if td.engine_hook is None or field.key != 2 or space.kind == "fixture":
-        return False
-    if (1 << space.slot_count()) < ENGINE_MIN_INSTANCES:
         return False
     if td.engine_hook in ("topin", "chardepth"):
         return (space.kind == "complex" and space.d == space.n - 2

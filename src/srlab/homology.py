@@ -3,15 +3,18 @@
 The chain complex is augmented (the empty face sits in degree -1), so
 the irrelevant complex has H~_-1 = 1; this convention is what makes
 Hochster's formula come out right for small restrictions.  GF(2) ranks
-use bit-packed column elimination; odd primes and the rationals share
-one fraction-free integer row elimination, reduced mod p or divided by
-row content over Q.  A cone (facets sharing a vertex) is acyclic, so
+use bit-packed column elimination (``pivot_rows_gf2``), run from the top
+boundary map down with clearing: a face that is a leading row of the
+reduced map one size up has its own column skipped, which leaves every
+rank as it was.  Odd primes and the rationals share one fraction-free
+integer row elimination, reduced mod p or divided by row content over Q.  A cone (facets sharing a vertex) is acyclic, so
 ``dims_over_field`` answers it without eliminating; ``dims_gf2`` always
 eliminates.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd
 
@@ -94,20 +97,32 @@ class HomologyVector:
 # rank kernels
 
 
-def rank_gf2_columns(cols: list[int]) -> int:
-    """Rank over GF(2) of columns packed as int bitsets."""
+def pivot_rows_gf2(cols: Iterable[int]) -> int:
+    """Bitmap of the leading rows of ``cols`` (int bitsets) reduced over GF(2).
+
+    Each column is reduced by the kept columns until its leading row (its
+    highest set bit) is new, or it vanishes.  The kept columns then have
+    distinct leading rows, which are exactly the highest bits of the
+    nonzero vectors in the span of ``cols``: the bitmap depends on that
+    span alone, and its popcount is the rank.
+    """
     pivots: dict[int, int] = {}
-    r = 0
+    lead = 0
     for v in cols:
         while v:
             h = v.bit_length() - 1
             p = pivots.get(h)
             if p is None:
                 pivots[h] = v
-                r += 1
+                lead |= 1 << h
                 break
             v ^= p
-    return r
+    return lead
+
+
+def rank_gf2_columns(cols: list[int]) -> int:
+    """Rank over GF(2) of columns packed as int bitsets."""
+    return pivot_rows_gf2(cols).bit_count()
 
 
 def _rank_exact(rows: list[list[int]], p: int) -> int:
@@ -162,25 +177,31 @@ def dims_gf2(facets: tuple[int, ...]) -> tuple[int, ...]:
 
     ``facets`` is a nonempty antichain of masks ((0,) for the irrelevant
     complex).  Signs vanish mod 2, so boundary columns are plain bitsets.
+    The maps are reduced from the top size down, with clearing.  A face
+    that is the leading row of a reduced column one size up is the last
+    face of a boundary z; d(z) = 0 makes its own column a sum of earlier
+    columns, so it is skipped and the rank is unchanged.
     """
     groups = faces_by_size_from_masks(facets)
     top = len(groups) - 1
-    counts = [len(g) for g in groups]
     ranks = [0] * (top + 2)  # ranks[s] = rank of boundary from size s to size s-1
-    prev_index: dict[int, int] = {0: 0}
-    for s in range(1, top + 1):
+    cleared = 0              # leading rows of the boundary from size s+1
+    for s in range(top, 0, -1):
+        lower = {f: i for i, f in enumerate(groups[s - 1])}
         cols = []
-        for f in groups[s]:
+        for i, f in enumerate(groups[s]):
+            if cleared >> i & 1:
+                continue
             col = 0
             m = f
             while m:
                 b = m & -m
                 m ^= b
-                col |= 1 << prev_index[f ^ b]
+                col |= 1 << lower[f ^ b]
             cols.append(col)
-        ranks[s] = rank_gf2_columns(cols)
-        prev_index = {f: i for i, f in enumerate(groups[s])}
-    return tuple(counts[s] - ranks[s] - ranks[s + 1] for s in range(top + 1))
+        cleared = pivot_rows_gf2(cols)
+        ranks[s] = cleared.bit_count()
+    return tuple(len(groups[s]) - ranks[s] - ranks[s + 1] for s in range(top + 1))
 
 
 def _signed_boundary_rows(lower: list[int], upper: list[int]) -> list[list[int]]:

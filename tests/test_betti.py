@@ -9,7 +9,6 @@ from srlab import (
     FULL_LINEARITY,
     GF2,
     QQ,
-    BettiTable,
     Complex,
     alexander_dual,
     check_er_shape,
@@ -20,10 +19,13 @@ from srlab import (
     minimal_nonfaces,
     render_betti,
 )
-from srlab.betti import betti_json, ring_table
+from srlab._bits import antichain
+from srlab.betti import BettiTable, betti_json, ring_table
+from srlab.homology import FieldSpec, dims_cached
 
 from conftest import all_pure_complexes
 from test_complexes import small_complexes
+from test_homology import _all_complex_facets
 
 
 class TestHochsterIndexing:
@@ -208,3 +210,33 @@ class TestCrossOracleSmall:
                     dual = alexander_dual(c)
                     lin = check_ndp(t, e, FULL_LINEARITY)
                     assert lin == reisner_cm(dual, GF2)
+
+
+def _ring_table_every_restriction(c: Complex, field) -> BettiTable:
+    """Hochster's sum with the homology of every restriction built, cones too."""
+    ideal: dict[tuple[int, int], int] = {}
+    for w in range(1, 1 << c.n):
+        j = w.bit_count()
+        dims = dims_cached(antichain(f & w for f in c.facet_masks), field)
+        for off, value in enumerate(dims):  # off = degree + 1
+            if value and j - off - 1 >= 0:
+                ideal[(j - off - 1, j)] = ideal.get((j - off - 1, j), 0) + value
+    dim_ring = 0 if c.dim is None else c.dim + 1
+    return ring_table(BettiTable("ideal", c.n, dim_ring, field, ideal))
+
+
+class TestConeRestrictions:
+    #: nonvoid complexes on [n]: the Dedekind number M(n), less the void complex
+    COUNTS = {1: 2, 2: 5, 3: 19, 4: 167, 5: 7580}
+
+    @pytest.mark.parametrize("field", [GF2, FieldSpec.gf(3), QQ], ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+    def test_every_complex(self, n, field):
+        # hochster_betti skips restrictions whose facets share a vertex
+        count = 0
+        for facets in _all_complex_facets(n):
+            c = Complex(n, facets, _trusted=True)
+            assert hochster_betti(c, field, "ring") == _ring_table_every_restriction(
+                c, field), facets
+            count += 1
+        assert count == self.COUNTS[n]

@@ -4,11 +4,13 @@ Each engine kernel is compared value by value with the public modules,
 on every instance for n <= 5 and on seeded samples at n = 6 and 7; the
 N_{2,.} threshold and full linearity on every instance for n <= 5 and on
 seeded samples at n = 6 and 7, and the chordless span on every instance
-for n <= 5.  The LinkTables and FlagTables the engines read are checked
-entry by entry against link_profile and clique-complex homology.  A
-theorem check that holds returns no clauses on either route, so
-comparing only whether a counterexample appeared cannot catch a wrong
-digest; these comparisons can.
+for n <= 5.  The GF(2) homology of closures and clique complexes is
+also compared with an elimination of every boundary column, without
+the clearing the engine uses.  The LinkTables and FlagTables the
+engines read are checked entry by entry against link_profile and
+clique-complex homology.  A theorem check that holds returns no clauses
+on either route, so comparing only whether a counterexample appeared
+cannot catch a wrong digest; these comparisons can.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from srlab.complexes import alexander_dual
 from srlab.criteria import NO_VIOLATION, is_buchsbaum, link_profile, min_cm_t
 from srlab.graphs import Graph, _chordless_cycles, chordless_span, clique_complex
 from srlab.homology import faces_by_size_from_masks, reduced_homology
+
+from test_homology import _dims_by_elimination
 
 SAMPLE = {6: 400, 7: 200}  # seeded instances per space above n = 5
 
@@ -83,12 +87,17 @@ def test_closure_matches_face_enumeration(n):
             groups = faces_by_size_from_masks(c.facet_masks)
             expected = [sum(1 << index[j][f] for f in groups[j]) for j in range(k + 1)]
             assert lh.closure(k, s) == expected, (n, k, s)
+            # the clearing reduction against one that eliminates every column
+            assert lh.dims_from_levels(expected) == _dims_by_elimination(c.facet_masks, 2), (
+                n, k, s)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_flag_dims_match_clique_complex_homology(n):
     for e, g in graph_instances(n):
-        assert flag_dims(e, n) == reduced_homology(clique_complex(g), GF2).dims, (n, e)
+        cc = clique_complex(g)
+        assert flag_dims(e, n) == reduced_homology(cc, GF2).dims, (n, e)
+        assert flag_dims(e, n) == _dims_by_elimination(cc.facet_masks, 2), (n, e)
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -124,7 +133,8 @@ def test_codim2_analyze_matches_generic(n):
         generic_viol = link_profile(c.facet_masks, GF2)[1]
         assert t_cm == min_cm_t(c, GF2), (n, s)
         assert serre_viol == (_SERRE_NONE if generic_viol == NO_VIOLATION else generic_viol), (n, s)
-        assert dims == reduced_homology(c, GF2).dims, (n, s)
+        assert dims == reduced_homology(c, GF2).dims == _dims_by_elimination(c.facet_masks, 2), (
+            n, s)
 
 
 @pytest.mark.parametrize("n", range(3, 8))

@@ -418,8 +418,13 @@ COMPLEX_FIELDS = ("min_cm_t", "serre_threshold", "dims", "ndp_threshold", "dual_
                   "dual_chordless_min", "dual_is_cycle", "buchsbaum", "depth")
 PURE_FIELDS = ("min_cm_t", "serre_threshold", "dims", "buchsbaum")
 GRAPH_FIELDS = ("adj", "dual_min_cm_t", "linear", "chordless_min", "chordless_max")
-#: pure spaces that cor-bk routes to the engine (2^slots >= 8192, C(n-1, d-1) <= 15)
-CORBK_ENGINE_SPACES = [(6, 2), (6, 3), (6, 4), (7, 2), (7, 3), (7, 5)]
+#: pure spaces above n = 5 that cor-bk routes to the engine
+CORBK_ENGINE_SPACES = [
+    (n, d) for n in (6, 7) for d in range(1, n + 1)
+    if hmod._engine_eligible(THEOREMS["cor-bk"], SearchSpace(n=n, d=d), GF2)
+]
+#: the theorems with an engine route
+ENGINE_HOOKED = sorted(tid for tid, td in THEOREMS.items() if td.engine_hook)
 
 
 def _engine_space(n: int, d, count: int, seed: int) -> SearchSpace:
@@ -487,17 +492,26 @@ class TestEngineAgainstGeneric:
         _assert_same_digests(("main2", "corlinear", "froberg"),
                              _engine_space(n, "graphs", 150, 23 + n), GRAPH_FIELDS)
 
-    def test_engine_and_generic_runs_agree(self):
-        sp = [SearchSpace(n=5, d=3)]
-        generic = verify_theorem("thm-topin", sp)
-        old = hmod.ENGINE_MIN_INSTANCES
-        hmod.ENGINE_MIN_INSTANCES = 1
-        try:
-            engine = verify_theorem("thm-topin", sp)
-        finally:
-            hmod.ENGINE_MIN_INSTANCES = old
-        assert generic.instances_checked == engine.instances_checked
-        assert generic.ok() and engine.ok()
+    def test_corbk_engine_spaces_follow_the_link_bound(self):
+        # C(n-1, d-1) <= 15 leaves out only (7, 4) above n = 5
+        assert CORBK_ENGINE_SPACES == [(6, d) for d in range(1, 7)] + [
+            (7, d) for d in (1, 2, 3, 5, 6, 7)]
+
+    def test_engine_and_generic_runs_agree(self, monkeypatch):
+        """Each engine-hooked theorem's whole run on its default spaces with
+        n <= 5 is the same on both routes; all of those spaces take the
+        engine but graphs on 2 vertices."""
+        runs = {}
+        for tid in ENGINE_HOOKED:
+            spaces = [sp for sp in default_spaces(tid) if sp.kind != "fixture" and sp.n <= 5]
+            routed = [sp for sp in spaces if hmod._engine_eligible(THEOREMS[tid], sp, GF2)]
+            assert routed == [sp for sp in spaces if sp.kind == "complex" or sp.n >= 3], tid
+            runs[tid] = spaces, verify_theorem(tid, spaces)
+        assert len(runs) == 6
+        monkeypatch.setattr(hmod, "_engine_eligible", lambda td, space, field: False)
+        for tid, (spaces, engine) in runs.items():
+            assert engine.to_json() == verify_theorem(tid, spaces).to_json(), tid
+            assert engine.ok() and engine.instances_checked, tid
 
 
 def _digest(**fields) -> SimpleNamespace:

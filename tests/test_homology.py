@@ -16,6 +16,7 @@ from srlab.homology import (
     dims_gf2,
     dims_over_field,
     faces_by_size_from_masks,
+    pivot_rows_gf2,
     rank_gf2_columns,
 )
 
@@ -98,6 +99,20 @@ class TestChainComplex:
         assert rank_gf2_columns([]) == 0
         assert rank_gf2_columns([0, 0]) == 0
 
+    def test_pivot_rows_are_the_leading_rows_of_the_span(self):
+        # the highest set bits of the nonzero vectors in the span, brute forced
+        rng = random.Random("pivot-rows")
+        for _ in range(400):
+            cols = [rng.randrange(1 << rng.randint(0, 12)) for _ in range(rng.randint(0, 8))]
+            span = {0}
+            for v in cols:
+                span |= {u ^ v for u in span}
+            leading = sum({1 << (u.bit_length() - 1) for u in span if u})
+            lead = pivot_rows_gf2(cols)
+            assert lead == leading, cols
+            rows = [[v >> i & 1 for v in cols] for i in range(12)]
+            assert lead.bit_count() == rank_gf2_columns(cols) == _reference_rank(rows, 2), cols
+
 
 class TestProperties:
     @settings(max_examples=50, deadline=None)
@@ -136,6 +151,22 @@ class TestProperties:
             assert dims_gf2(c.facet_masks) == tuple(
                 reduced_homology(c, FieldSpec.gf(3))[i] for i in range(-1, c.dim + 1)
             )
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_complexes(max_n=7))
+    def test_gf2_clearing_matches_elimination(self, c):
+        # dims_gf2 skips cleared columns; the reference eliminates every one
+        if not c.is_void:
+            assert dims_gf2(c.facet_masks) == _dims_by_elimination(c.facet_masks, 2)
+
+    def test_gf2_clearing_on_fixtures(self, c4, mt6, dualc5, r6, d6, two_edges):
+        rp2 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6), (2, 3, 5),
+               (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)]
+        sphere = [tuple(v for v in range(1, 8) if v != u) for u in range(1, 8)]
+        for c in (c4, mt6, dualc5, r6, d6, two_edges, cycle_complex(7),
+                  Complex.from_facets(rp2), Complex.from_facets(sphere)):
+            assert dims_gf2(c.facet_masks) == _dims_by_elimination(c.facet_masks, 2)
+        assert dims_gf2(Complex.from_facets(rp2).facet_masks) == (0, 0, 1, 1)
 
     def test_fraction_pivoting_square(self):
         # spot check: rationals agree with mod-7 on a homology-free complex
