@@ -120,11 +120,17 @@ def faces_by_size_from_masks(facets: tuple[int, ...]) -> list[list[int]]:
 
 
 def antichain(masks) -> tuple[int, ...]:
-    """Inclusion-maximal elements of a set of masks, sorted."""
-    uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m), reverse=True)
+    """Inclusion-maximal elements of a set of masks, sorted.
+
+    Largest first: a mask can lie only in a kept mask at least its size,
+    and distinct masks of one size never contain each other.
+    """
     keep: list[int] = []
-    for m in uniq:
-        if not any(m & k == m for k in keep):
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        for k in keep:
+            if m & k == m:
+                break
+        else:
             keep.append(m)
     return tuple(sorted(keep))
 

@@ -67,6 +67,7 @@ from .homology import GF2, FieldSpec, reduced_homology
 
 EXHAUSTIVE_SLOT_LIMIT = 24  # exhaustive mode allowed only when slots <= this
 ORBIT_SLOT_LIMIT = 21       # orbit tables (2^slots entries) up to n = 7 codim-2 and graphs
+SAMPLE_SLOT_LIMIT = 70      # sample mode: every complex space on n <= 8 (C(8,4) = 70), graphs to n = 12
 DECK_KEY_N = 7              # sample spaces keyed by their deck (n - 1 orbit table: 15 slots)
 SAMPLE_ATTEMPT_FACTOR = 300
 
@@ -130,6 +131,11 @@ class SearchSpace:
         if self.mode == "sample":
             if self.seed is None or self.count <= 0:
                 raise HarnessError("sample mode needs a seed and a positive count")
+            if self.slot_count() > SAMPLE_SLOT_LIMIT:
+                raise HarnessError(
+                    f"sampling needs at most {SAMPLE_SLOT_LIMIT} slots; "
+                    f"space has {self.slot_count()}"
+                )
         elif self.mode != "exhaustive":
             raise HarnessError(f"unknown mode {self.mode!r}")
 

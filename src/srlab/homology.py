@@ -7,9 +7,18 @@ use bit-packed column elimination (``pivot_rows_gf2``), run from the top
 boundary map down with clearing: a face that is a leading row of the
 reduced map one size up has its own column skipped, which leaves every
 rank as it was.  Odd primes and the rationals share one fraction-free
-integer row elimination, reduced mod p or divided by row content over Q.  A cone (facets sharing a vertex) is acyclic, so
-``dims_over_field`` answers it without eliminating; ``dims_gf2`` always
-eliminates.
+integer row elimination, reduced mod p or divided by row content over Q.
+A cone (facets sharing a vertex) is acyclic, so ``dims_over_field``
+answers it without eliminating; ``dims_gf2`` always eliminates.
+
+``dims_cached`` is the memoized front end, with two keys.  The labelled
+key is the family of masks as given, sorted and deduplicated, so a
+repeated restriction or link costs one lookup.  On a miss of that key
+it tests the family for a cone (all nonzero members sharing a vertex)
+before canonicalizing.  That test misses a cone whose shared vertex
+lies outside some nested member; ``dims_over_field`` still answers it
+without eliminating.  The canonical key is the family's antichain
+compressed onto its occupied vertices, so each shape is eliminated once.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd
 
-from ._bits import compress_masks, faces_by_size_from_masks
+from ._bits import antichain, compress_masks, faces_by_size_from_masks
 from .complexes import Complex
 
 
@@ -244,29 +253,54 @@ def dims_over_field(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, ...
 # ---------------------------------------------------------------------------
 # cached front end
 
-_CACHE: dict[tuple, tuple[int, ...]] = {}
+_CACHE: dict[tuple, tuple[int, ...]] = {}      # canonical shape -> dims
 _CACHE_LIMIT = 600_000
+_LABELLED: dict[tuple, tuple[int, ...]] = {}   # family as given -> dims
+_LABELLED_LIMIT = 8_192                        # at most about 2 MB of keys
 
 
 def clear_homology_cache() -> None:
     _CACHE.clear()
+    _LABELLED.clear()
 
 
-def dims_cached(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, ...]:
-    """Homology dims for raw facet masks, memoized on the occupied-vertex shape.
+def dims_cached(facets, field: FieldSpec) -> tuple[int, ...]:
+    """Homology dims of the complex generated by a family of masks, memoized.
 
-    Unused ambient vertices do not affect homology, so keys are
-    compressed onto occupied bits; the same cache therefore serves links
-    and restrictions living on scattered vertex subsets.
+    The family may hold 0, duplicates and nested members.  It is looked
+    up under its labelled key ``(field.key, sorted distinct members)``,
+    so the repeated restrictions and links of one complex cost a lookup.
+    On a miss, a family whose nonzero members share a vertex is a cone:
+    its dims are all 0 and it is not canonicalized.  Any other family is
+    cut to its antichain and compressed onto its occupied vertices,
+    which leaves homology as it is, and is eliminated once per canonical
+    key in ``_CACHE``.  A canonical family's two keys coincide, so it is
+    stored once, in ``_CACHE``; cones and the other families go to
+    ``_LABELLED``, which keeps at most ``_LABELLED_LIMIT`` entries.
     """
-    canon, _ = compress_masks(facets)
-    key = (field.key, canon)
-    hit = _CACHE.get(key)
+    key = (field.key, tuple(sorted(set(facets))))
+    hit = _LABELLED.get(key) or _CACHE.get(key)
     if hit is not None:
         return hit
-    dims = dims_over_field(canon, field)
-    if len(_CACHE) < _CACHE_LIMIT:
-        _CACHE[key] = dims
+    family = key[1]
+    apex = -1
+    for f in family:
+        if f:
+            apex &= f
+    if apex > 0:
+        dims = (0,) * (max(map(int.bit_count, family)) + 1)
+    else:
+        canon, _ = compress_masks(antichain(family))
+        ckey = (field.key, canon)
+        dims = _CACHE.get(ckey)
+        if dims is None:
+            dims = dims_over_field(canon, field)
+            if len(_CACHE) < _CACHE_LIMIT:
+                _CACHE[ckey] = dims
+        if canon == family:
+            return dims
+    if len(_LABELLED) < _LABELLED_LIMIT:
+        _LABELLED[key] = dims
     return dims
 
 

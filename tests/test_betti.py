@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,9 +22,9 @@ from srlab import (
     minimal_nonfaces,
     render_betti,
 )
-from srlab._bits import antichain
+from srlab._bits import antichain, remap
 from srlab.betti import BettiTable, betti_json, ring_table
-from srlab.homology import FieldSpec, dims_cached
+from srlab.homology import FieldSpec, clear_homology_cache, dims_cached, dims_over_field
 
 from conftest import all_pure_complexes
 from test_complexes import small_complexes
@@ -213,11 +216,12 @@ class TestCrossOracleSmall:
 
 
 def _ring_table_every_restriction(c: Complex, field) -> BettiTable:
-    """Hochster's sum with the homology of every restriction built, cones too."""
+    """Hochster's sum over every W of [n], unused vertices and cones
+    included, each restriction's homology computed with no cache."""
     ideal: dict[tuple[int, int], int] = {}
     for w in range(1, 1 << c.n):
         j = w.bit_count()
-        dims = dims_cached(antichain(f & w for f in c.facet_masks), field)
+        dims = dims_over_field(antichain(f & w for f in c.facet_masks), field)
         for off, value in enumerate(dims):  # off = degree + 1
             if value and j - off - 1 >= 0:
                 ideal[(j - off - 1, j)] = ideal.get((j - off - 1, j), 0) + value
@@ -225,14 +229,25 @@ def _ring_table_every_restriction(c: Complex, field) -> BettiTable:
     return ring_table(BettiTable("ideal", c.n, dim_ring, field, ideal))
 
 
+FIELDS = [GF2, FieldSpec.gf(3), QQ]
+
+
+def _with_unused_vertices(facets: tuple[int, ...], m: int, ghosts: int, rng) -> Complex:
+    """The complex on [m] spread over [m + ghosts]: ``ghosts`` random
+    vertices in no facet."""
+    keep = sorted(rng.sample(range(m + ghosts), m))
+    table = {1 << i: 1 << v for i, v in enumerate(keep)}
+    return Complex(m + ghosts, remap(facets, table), _trusted=True)
+
+
 class TestConeRestrictions:
     #: nonvoid complexes on [n]: the Dedekind number M(n), less the void complex
     COUNTS = {1: 2, 2: 5, 3: 19, 4: 167, 5: 7580}
 
-    @pytest.mark.parametrize("field", [GF2, FieldSpec.gf(3), QQ], ids=str)
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
     @pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
     def test_every_complex(self, n, field):
-        # hochster_betti skips restrictions whose facets share a vertex
+        # hochster_betti skips the unused vertices and lets dims_cached answer cones
         count = 0
         for facets in _all_complex_facets(n):
             c = Complex(n, facets, _trusted=True)
@@ -240,3 +255,68 @@ class TestConeRestrictions:
                 c, field), facets
             count += 1
         assert count == self.COUNTS[n]
+
+
+class TestUnusedVertices:
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("ghosts", [1, 2, 3])
+    def test_against_every_restriction(self, ghosts, field):
+        # complexes on 5 vertices spread over n = 6..8: the Koszul spread of
+        # the unused vertices against the full sum over 2^n restrictions
+        rng = random.Random(100 * ghosts + field.key)
+        everything = list(_all_complex_facets(5))
+        for facets in rng.sample(everything, 12) + [(0,), (0b11111,), (0b1, 0b10)]:
+            c = _with_unused_vertices(facets, 5, ghosts, rng)
+            assert hochster_betti(c, field, "ring") == _ring_table_every_restriction(
+                c, field), (c.facet_masks, c.n)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_irrelevant_complex_is_koszul(self, n, field):
+        # every vertex unused: the maximal ideal, beta_{i-1,i} = C(n, i)
+        t = hochster_betti(Complex.irrelevant(n), field, "ideal")
+        assert t.entries == {(i - 1, i): math.comb(n, i) for i in range(1, n + 1)}
+
+    def test_cold_warm_and_after_others(self, mt6, r6, dualc5):
+        rng = random.Random(7)
+        complexes = [mt6, r6, dualc5, alexander_dual(mt6)] + [
+            _with_unused_vertices(facets, 5, 1 + k % 3, rng)
+            for k, facets in enumerate(rng.sample(list(_all_complex_facets(5)), 6))]
+        cold = {}
+        for k, c in enumerate(complexes):
+            for field in FIELDS:
+                clear_homology_cache()
+                cold[k, field.key] = hochster_betti(c, field, "ring")
+        for k, c in enumerate(complexes):  # warm: the same complex again
+            for field in FIELDS:
+                assert hochster_betti(c, field, "ring") == cold[k, field.key]
+        clear_homology_cache()
+        for k, c in reversed(list(enumerate(complexes))):  # after the others
+            for field in reversed(FIELDS):
+                assert hochster_betti(c, field, "ring") == cold[k, field.key], (k, field)
+
+
+class TestDimsCachedFamilies:
+    @pytest.mark.parametrize("family, dims", [
+        ((0,), (1,)),
+        ((0, 0, 0), (1,)),
+        ((0b011, 0b001, 0, 0b011), (0, 0, 0)),             # an edge, nested and doubled
+        ((0b011, 0b101, 0b010), (0, 0, 0)),                # a cone on 1 with 2 nested
+        ((0b110, 0b011, 0b101, 0b001, 0, 0b101), (0, 0, 1)),  # a triangle's boundary
+        ((1 << 9, 1 << 3, 0), (0, 1)),                     # two scattered points
+    ])
+    def test_examples(self, family, dims):
+        for field in FIELDS:
+            clear_homology_cache()
+            assert dims_cached(family, field) == dims   # cold
+            assert dims_cached(family, field) == dims   # warm
+            assert dims_cached(tuple(reversed(family)), field) == dims
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, (1 << 7) - 1), min_size=1, max_size=9),
+           st.sampled_from(FIELDS))
+    def test_any_family_matches_its_antichain(self, family, field):
+        # families as a restriction leaves them: 0, duplicates, nested members
+        expected = dims_over_field(antichain(family), field)
+        assert dims_cached(family, field) == expected
+        assert dims_cached(family[::-1] + family, field) == expected

@@ -19,6 +19,7 @@ from srlab import (
     restriction,
     skeleton_graph,
 )
+from srlab._bits import antichain
 from srlab.complexes import sd_vertex_order
 
 from conftest import brute_dual, brute_minimal_nonfaces, cycle_complex, gamma_complex
@@ -145,6 +146,24 @@ class TestLink:
                 for k in range(len(f)):
                     lk = link(c, f[: k]).complex
                     assert lk.dim == dim - k
+
+
+class TestAntichain:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, (1 << 8) - 1), max_size=12))
+    def test_sorted_maximal_elements(self, masks):
+        # by definition: the distinct masks lying in no other given mask
+        maximal = {m for m in masks if not any(m != k and m & k == m for k in masks)}
+        assert antichain(masks) == tuple(sorted(maximal))
+        assert antichain(masks + masks[::-1]) == antichain(masks)
+
+    def test_zero_and_duplicates(self):
+        assert antichain([0]) == (0,)
+        assert antichain([0, 0, 0]) == (0,)
+        assert antichain([0, 0b100, 0]) == (0b100,)
+        assert antichain([0b11, 0b01, 0b11, 0b10, 0b100]) == (0b11, 0b100)
+        assert antichain(iter([0b101, 0b111, 0b1000])) == (0b111, 0b1000)
+        assert antichain([]) == ()
 
 
 class TestRestriction:

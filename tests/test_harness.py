@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from functools import reduce
 from math import comb
 from operator import or_
@@ -103,6 +104,28 @@ class TestSpaces:
             sp.validate()
         with pytest.raises(HarnessError):
             verify_theorem("thm-main2", [sp])
+
+    def test_sample_slot_bound(self):
+        # refused before any filter is built or any mask drawn
+        big = SearchSpace(n=14, d=7, mode="sample", count=1, seed=1)  # 3,432 slots
+        t0 = time.perf_counter()
+        with pytest.raises(HarnessError, match="at most 70 slots"):
+            verify_theorem("cor-bk", [big])
+        with pytest.raises(HarnessError):
+            list(enumerate_pure_complexes(big))
+        assert time.perf_counter() - t0 < 1.0
+        for n, d in ((9, 4), (13, "graphs")):  # 126 and 78 slots
+            with pytest.raises(HarnessError):
+                SearchSpace(n=n, d=d, mode="sample", count=1, seed=1).validate()
+        # the largest spaces kept: every space on 8 vertices, graphs on 12,
+        # cor-bk's 35-slot (7, 3) space, and every default space as a sample
+        for n, d in ((8, 4), (12, "graphs"), (7, 3)):
+            SearchSpace(n=n, d=d, mode="sample", count=1, seed=1).validate()
+        for tid in theorem_ids():
+            for sp in default_spaces(tid):
+                sp.validate()
+                if sp.kind != "fixture":
+                    SearchSpace(n=sp.n, d=sp.d, mode="sample", count=5, seed=1).validate()
 
     def test_space_json_roundtrip(self):
         sp = SearchSpace(n=7, d="graphs", mode="sample", count=500, seed=3)

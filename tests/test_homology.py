@@ -8,11 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srlab import GF2, QQ, Complex, FieldSpec, cone, reduced_homology
+from srlab import GF2, QQ, Complex, FieldSpec, cone, hochster_betti, reduced_homology
+from srlab import homology
 from srlab.homology import (
+    _LABELLED_LIMIT,
     _rank_exact,
     _signed_boundary_rows,
     boundary_matrix,
+    clear_homology_cache,
+    dims_cached,
     dims_gf2,
     dims_over_field,
     faces_by_size_from_masks,
@@ -277,7 +281,8 @@ class TestRankExact:
 
 class TestConeClosedForm:
     def test_every_cone_on_five_vertices(self):
-        # facets sharing a vertex: dims_over_field answers without elimination
+        # facets sharing a vertex: both routes answer without elimination
+        clear_homology_cache()
         count = 0
         for facets in _all_complex_facets(5):
             apex = facets[0]
@@ -286,9 +291,10 @@ class TestConeClosedForm:
             if not apex:
                 continue
             for field in (GF2, FieldSpec.gf(3), QQ):
-                dims = dims_over_field(facets, field)
+                dims = dims_cached(facets, field)
                 assert dims == _dims_by_elimination(facets, field.key), (facets, field)
                 assert not any(dims), (facets, field)
+                assert dims_over_field(facets, field) == dims
             count += 1
         # inclusion-exclusion over apex sets S, |S| = j: the cones with every
         # facet containing S are the nonvoid complexes on the other 5 - j
@@ -299,3 +305,31 @@ class TestConeClosedForm:
         # the boundary of a triangle shares no vertex: H~_1 = 1
         assert dims_over_field((0b011, 0b101, 0b110), QQ) == (0, 0, 1)
         assert dims_over_field((0,), FieldSpec.gf(3)) == (1,)
+
+
+class TestCacheTiers:
+    def test_labelled_tier_is_bounded(self):
+        # 16 isolated points: 2^16 - 1 restrictions, each its own labelled family
+        clear_homology_cache()
+        points = Complex.from_facets([(v,) for v in range(1, 17)], n=16)
+        t = hochster_betti(points, GF2, "ideal")
+        assert t.beta(0, 2) == 120 and sum(t.entries.values()) == 458753
+        assert len(homology._LABELLED) == _LABELLED_LIMIT
+        # the canonical tier holds the k points, k = 2..16
+        assert sorted(homology._CACHE) == [(2, tuple(1 << i for i in range(k)))
+                                           for k in range(2, 17)]
+        clear_homology_cache()
+
+    def test_clear_empties_both_tiers(self):
+        dims_cached((1 << 9, 1 << 3), GF2)             # labelled (8, 512), canonical (1, 2)
+        dims_cached((0b110, 0b011), FieldSpec.gf(3))   # a cone: labelled only
+        dims_cached((0b011, 0b101, 0b110), QQ)         # canonical: stored once
+        assert (2, (1 << 3, 1 << 9)) in homology._LABELLED
+        assert (3, (0b011, 0b110)) in homology._LABELLED
+        assert (0, (0b011, 0b101, 0b110)) not in homology._LABELLED
+        assert {(2, (1, 2)), (0, (0b011, 0b101, 0b110))} <= set(homology._CACHE)
+        clear_homology_cache()
+        assert homology._CACHE == {} and homology._LABELLED == {}
+        assert dims_cached((1 << 9, 1 << 3), GF2) == (0, 1)
+        assert homology._LABELLED == {(2, (1 << 3, 1 << 9)): (0, 1)}
+        assert homology._CACHE == {(2, (1, 2)): (0, 1)}
