@@ -276,7 +276,8 @@ def dims_cached(facets, field: FieldSpec) -> tuple[int, ...]:
     which leaves homology as it is, and is eliminated once per canonical
     key in ``_CACHE``.  A canonical family's two keys coincide, so it is
     stored once, in ``_CACHE``; cones and the other families go to
-    ``_LABELLED``, which keeps at most ``_LABELLED_LIMIT`` entries.
+    ``_LABELLED``, which is emptied when it reaches ``_LABELLED_LIMIT``
+    entries, so that a long session keeps storing its newest families.
     """
     key = (field.key, tuple(sorted(set(facets))))
     hit = _LABELLED.get(key) or _CACHE.get(key)
@@ -299,8 +300,9 @@ def dims_cached(facets, field: FieldSpec) -> tuple[int, ...]:
                 _CACHE[ckey] = dims
         if canon == family:
             return dims
-    if len(_LABELLED) < _LABELLED_LIMIT:
-        _LABELLED[key] = dims
+    if len(_LABELLED) >= _LABELLED_LIMIT:
+        _LABELLED.clear()
+    _LABELLED[key] = dims
     return dims
 
 

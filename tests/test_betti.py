@@ -247,7 +247,7 @@ class TestConeRestrictions:
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     @pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
     def test_every_complex(self, n, field):
-        # hochster_betti skips the unused vertices and lets dims_cached answer cones
+        # hochster_betti lets dims_cached answer cones
         count = 0
         for facets in _all_complex_facets(n):
             c = Complex(n, facets, _trusted=True)
@@ -261,8 +261,8 @@ class TestUnusedVertices:
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     @pytest.mark.parametrize("ghosts", [1, 2, 3])
     def test_against_every_restriction(self, ghosts, field):
-        # complexes on 5 vertices spread over n = 6..8: the Koszul spread of
-        # the unused vertices against the full sum over 2^n restrictions
+        # complexes on 5 vertices spread over n = 6..8: W with unused vertices
+        # are labelled lookups, checked against the uncached sum
         rng = random.Random(100 * ghosts + field.key)
         everything = list(_all_complex_facets(5))
         for facets in rng.sample(everything, 12) + [(0,), (0b11111,), (0b1, 0b10)]:

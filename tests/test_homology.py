@@ -314,10 +314,16 @@ class TestCacheTiers:
         points = Complex.from_facets([(v,) for v in range(1, 17)], n=16)
         t = hochster_betti(points, GF2, "ideal")
         assert t.beta(0, 2) == 120 and sum(t.entries.values()) == 458753
-        assert len(homology._LABELLED) == _LABELLED_LIMIT
+        assert 0 < len(homology._LABELLED) <= _LABELLED_LIMIT
         # the canonical tier holds the k points, k = 2..16
         assert sorted(homology._CACHE) == [(2, tuple(1 << i for i in range(k)))
                                            for k in range(2, 17)]
+        # a full tier is emptied, not frozen: new families are still stored
+        for k in range(_LABELLED_LIMIT - len(homology._LABELLED) + 1):
+            dims_cached((1 << 20, 1 << 21, k << 22), GF2)
+        assert len(homology._LABELLED) == 1
+        assert dims_cached((0b110, 0b011), FieldSpec.gf(3)) == (0, 0, 0)
+        assert (3, (0b011, 0b110)) in homology._LABELLED
         clear_homology_cache()
 
     def test_clear_empties_both_tiers(self):
