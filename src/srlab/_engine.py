@@ -5,8 +5,10 @@ memoizes their answers over whole enumeration families so the labeled
 exhaustive searches (millions of instances) finish in seconds on one
 core.  It decides no theorem: the harness applies one clause function
 per theorem to digests (min CM_t, Serre violation, homology dims, the
-N_{2,.} threshold, Buchsbaum, depth, full linearity) that come either
-from these engines or from the public modules.  tests/test_harness.py
+N_{2,.} threshold, Buchsbaum, full linearity) that come either from
+these engines or from the public modules.  No table gives depth: a
+Cohen-Macaulay complex has depth d, and the harness reads any other
+depth from the generic Hochster sum.  tests/test_harness.py
 compares the two providers field by field, tests/test_engine_kernels.py
 compares the kernels and tables with the generic route, and
 tests/test_orbits.py checks that every digest is invariant under
@@ -32,7 +34,7 @@ Layout:
                   w <= 6 labeled vertices, indexed by edge-set mask.
   Codim2Engine    a PureSpaceEngine for pure codimension-2 complexes and
                   the graphs behind their duals: the dual's 1-skeleton,
-                  the N_{2,.} threshold, depth >= d-1 and full linearity.
+                  the N_{2,.} threshold and full linearity.
   orbit_reps      least slot mask of each S_n-orbit of slot masks, by DFS
   orbit_classes   through two generator OrFolds, and each orbit's (least
                   mask, size) from the same DFS; the harness checks and
@@ -62,8 +64,7 @@ from math import comb, factorial
 from typing import Callable
 
 from ._bits import compress_map, remap, size_subsets
-from .graphs import reachable
-from .homology import pivot_rows_gf2, rank_gf2_columns
+from .homology import pivot_rows_gf2
 
 _SERRE_NONE = 99  # "no Serre violation anywhere" (dimensions here are < 99)
 
@@ -476,7 +477,7 @@ class LinkTables:
                 maxbad[s] = maxbad[r]
                 serre[s] = serre[r]
                 continue
-            t_cm, serre[s], _, _ = eng.analyze_full(s)
+            t_cm, serre[s], _ = eng.analyze_full(s)
             maxbad[s] = t_cm - 1
 
 
@@ -581,10 +582,9 @@ class PureSpaceEngine:
         """CM_1: every vertex link is Cohen-Macaulay."""
         return self.link_digest(s)[0] < 0
 
-    def analyze_full(self, s: int) -> tuple[int, int, tuple[int, ...], list[int]]:
-        """(min_cm_t, serre_viol, homology dims, level bitmaps) of the instance complex."""
-        levels = self.lh.closure(self.d, s)
-        dims = self.lh.dims_from_levels(levels)
+    def analyze_full(self, s: int) -> tuple[int, int, tuple[int, ...]]:
+        """(min_cm_t, serre_viol, homology dims) of the instance complex."""
+        dims = self.lh.dims_from_levels(self.lh.closure(self.d, s))
         mb = -1
         sv = _SERRE_NONE
         for i in range(self.d - 1):  # below the top degree: the empty face is unclean
@@ -593,7 +593,7 @@ class PureSpaceEngine:
                 sv = i
                 break
         mb, sv = self.link_digest(s, mb, sv)
-        return mb + 1, sv, dims, levels
+        return mb + 1, sv, dims
 
 
 pure_space_engine = cache(PureSpaceEngine)
@@ -621,16 +621,6 @@ class Codim2Engine(PureSpaceEngine):
         self.nbr_folds = [(fold.lo, fold.hi) for fold in (
             OrFold([p ^ (1 << v) if p >> v & 1 else 0 for p in self.pair_slots])
             for v in range(n))]
-
-        # level bitmaps of the subsets lying inside W, for |W| >= 5 (the
-        # only restriction sizes that can push projdim of the ring past 3)
-        self.inside_w: dict[int, list[int]] = {}
-        for wmask in range(1 << n):
-            w = wmask.bit_count()
-            if w < 5 or w == n:
-                continue
-            self.inside_w[wmask] = [_subsets_bitmap(self.lh.levels[k], wmask)
-                                    for k in range(min(w, 3) + 1)]
 
         # per-W restriction maps of graph edge masks into FlagTables spaces,
         # as (fold.lo, fold.hi, w, nlmax), for the sizes w whose clique
@@ -696,32 +686,6 @@ class Codim2Engine(PureSpaceEngine):
             return 0
         return max(0, self.d - istar)
 
-    def _projdim_at_most_3(self, dims: tuple[int, ...], levels: list[int]) -> bool:
-        """projdim K[Delta] <= 3, i.e. depth >= d-1 (cover assumed).
-
-        A Hochster witness needs H~_deg of a restriction to W with
-        |W| - deg - 2 >= 3, so only |W| >= 5 and deg <= |W|-5 can hurt:
-        connectivity of every 5-subset restriction, H~_1 of every
-        6-subset restriction, and the low homology of the complex itself.
-        Restriction face bitmaps are the complex's level bitmaps masked
-        to subsets inside W.
-        """
-        n = self.n
-        for deg in range(0, n - 4):
-            if dims[deg + 1]:
-                return False
-        columns = self.lh.boundary_columns
-        for wmask, inside in self.inside_w.items():
-            edges = levels[2] & inside[2]
-            if reachable(self.adj_of_edges(edges), wmask & -wmask) != wmask:
-                return False  # restriction disconnected: H~_0 != 0
-            w = wmask.bit_count()
-            if w >= 6:
-                tris = levels[3] & inside[3]
-                if edges.bit_count() - (w - 1) - rank_gf2_columns(columns(3, tris)):
-                    return False  # H~_1 of the restriction is nonzero
-        return True
-
     # -- graph digests (instances are edge masks of G) ---------------------
 
     def dual_of_clique_mask(self, e: int) -> int:
@@ -737,7 +701,7 @@ class Codim2Engine(PureSpaceEngine):
         s_dual = self.dual_of_clique_mask(e)
         if not s_dual:
             return None
-        t_cm, _, dims_dual, _ = self.analyze_full(s_dual)
+        t_cm, _, dims_dual = self.analyze_full(s_dual)
         if check_duality:
             _check_duality(flag_dims(e, self.n), dims_dual, self.n)
         return t_cm

@@ -72,25 +72,25 @@ def hochster_betti(
     c: Complex,
     field: FieldSpec = GF2,
     subject: str = "ideal",
-    size_bound: int = DEFAULT_SIZE_BOUND,
 ) -> BettiTable:
     """Betti table of I_Delta (or K[Delta]) by summing restriction homology.
 
     ``dims_cached`` answers each restriction: by a lookup under the
-    restricted family as given, by the cone test (facets sharing a
-    vertex are acyclic over every field), or by homology memoized on the
-    compressed shape.  A W that adds unused vertices to another W gives
-    the same restricted family, so its term is a lookup.  The void
-    complex is refused (its ideal would be the unit ideal); the
-    irrelevant complex works and yields the Koszul table of the maximal
-    ideal.  n is capped by ``size_bound`` (the sum has 2^n terms).
+    restricted family as given, by the cone test on its antichain
+    (maximal members sharing a vertex are acyclic over every field), or
+    by homology memoized on the compressed shape.  A W that adds unused
+    vertices to another W gives the same restricted family, so its term
+    is a lookup.  The void complex is refused (its ideal would be the
+    unit ideal); the irrelevant complex works and yields the Koszul
+    table of the maximal ideal.  n is capped by ``DEFAULT_SIZE_BOUND``
+    (the sum has 2^n terms).
     """
     if subject not in ("ideal", "ring"):
         raise ValueError(f"subject must be 'ideal' or 'ring', not {subject!r}")
     if c.is_void:
         raise ValueError("the void complex has no Stanley-Reisner ideal")
-    if c.n > size_bound:
-        raise ValueError(f"ambient size {c.n} exceeds bound {size_bound}")
+    if c.n > DEFAULT_SIZE_BOUND:
+        raise ValueError(f"ambient size {c.n} exceeds bound {DEFAULT_SIZE_BOUND}")
 
     ideal: dict[tuple[int, int], int] = {}
     facet_masks = c.facet_masks

@@ -8,13 +8,13 @@ route applies, is invariant under relabeling the vertices.  So an
 exhaustive space of at most ``ORBIT_SLOT_LIMIT`` slots is walked one
 S_n-orbit at a time (``_engine.orbit_classes``): the filter and the
 check run on the orbit's least mask, and the orbit's size is added to
-the count.  The labeled masks are scanned only when some orbit fails,
-so that every failing instance is recorded on its own mask, in mask
-order.  A sample space of graphs or of codimension-2 complexes on
+the count.  A sample space of graphs or of codimension-2 complexes on
 ``DECK_KEY_N`` = 7 vertices checks each isomorphism class once, keyed by
 the vertex-deleted deck of its graph (``_engine.deck_key``), while every
-drawn instance is counted and, when it fails, recorded.  Other spaces
-check every instance.
+drawn instance is counted.  Other spaces check every instance.  One
+loop records for all three: it scans the drawn masks, or only the
+masks of failing orbits, and records each failing instance on its own
+mask, re-checking every member but the one its class was checked on.
 
 The six engine-hooked theorems each have one clause function over a
 digest (``ComplexDigest`` or ``GraphDigest``).  Their registered
@@ -412,8 +412,9 @@ class ComplexDigest:
 
 class _EngineComplexDigest(ComplexDigest):
     """The same fields over GF(2) for slot mask ``s`` of an engine space,
-    read from the engine's tables.  The one field no table gives, a depth
-    below d - 1, comes from the decoded complex."""
+    read from the engine's tables.  The one field no table gives, the
+    depth of a complex that is not Cohen-Macaulay, comes from the decoded
+    complex by the generic route."""
 
     field = GF2
 
@@ -434,13 +435,7 @@ class _EngineComplexDigest(ComplexDigest):
     dual_adj = _lazy(lambda dg: dg.eng.adj_of_edges(dg.dual_edges))
     buchsbaum = _lazy(lambda dg: dg.eng.is_buchsbaum(dg.s))
 
-    @_lazy
-    def depth(dg) -> int:
-        if dg.min_cm_t == 0:
-            return dg.d
-        if dg.eng._projdim_at_most_3(dg.dims, dg.analysis[3]):
-            return dg.d - 1
-        return ComplexDigest.depth.fn(dg)
+    depth = _lazy(lambda dg: dg.d if dg.min_cm_t == 0 else ComplexDigest.depth.fn(dg))
 
 
 class GraphDigest:
@@ -778,72 +773,46 @@ def _class_key(space: SearchSpace) -> Callable[[int], tuple[int, ...]] | None:
     return None
 
 
-def _run_orbits(td: TheoremDef, space: SearchSpace, check: Callable[[int], list[str]],
-                decode: Callable[[int], Complex | Graph], cap: int,
-                counterexamples: list[dict]) -> tuple[int, bool]:
-    """``_run_space`` on an exhaustive space of at most ``ORBIT_SLOT_LIMIT``
-    slots: filter and check each S_n-orbit's least mask, and count the
-    orbit's size (``_engine.orbit_classes``).
-
-    Only when some orbit fails are the labeled masks scanned, once and in
-    increasing order: each member of a failing orbit is recorded on its
-    own mask up to ``cap``, a member other than the least is re-checked,
-    and one that passes raises ``EngineError``.
-    """
-    keep = _keep(space)
-    checked = 0
-    failing: dict[int, list[str]] = {}  # least mask of a failing orbit -> its clauses
-    # the empty mask is an orbit of its own and no instance
-    for r, size in _engine.orbit_classes(space.n, space.slot_size)[1:]:
-        if keep is None or keep(r):
-            checked += size
-            clauses = check(r)
-            if clauses:
-                failing[r] = clauses
-    if not failing:
-        return checked, False
-    rep = _engine.orbit_reps(space.n, space.slot_size)
-    for s in range(1, len(rep)):
-        clauses = failing.get(rep[s])
-        if clauses is None:
-            continue
-        if len(counterexamples) >= cap:
-            return checked, True
-        if s != rep[s]:
-            clauses = check(s)
-            if not clauses:
-                raise _engine.EngineError(
-                    f"{td.theorem_id}: mask {s} passes but {rep[s]}, the least mask of its "
-                    f"orbit, fails; the checker is not invariant under relabeling")
-        counterexamples.append(_record(space, s, decode(s), clauses))
-    return checked, False
-
-
 def _run_space(td: TheoremDef, space: SearchSpace, field: FieldSpec, cap: int,
                counterexamples: list[dict]) -> tuple[int, bool]:
     """Check one space's instances; returns (instances checked, truncated).
 
-    An exhaustive space of at most ``ORBIT_SLOT_LIMIT`` slots is checked
-    and counted one S_n-orbit at a time (``_run_orbits``).  Other spaces
-    enumerate their instances.  A sample space with a class key
-    (``_class_key``) memoizes verdicts by class: each class is checked on
-    its first-seen mask, and a later member of a failing class is
-    re-checked on its own mask when it is recorded, so the records are
-    those of a per-instance run.  The rest check every instance.
+    One loop records for every space.  A space with a class key checks
+    each class once; a later member of a failing class is re-checked on
+    its own mask when it is recorded, and one that passes raises
+    ``EngineError``, so the records are those of a per-instance run.
+    An exhaustive space of at most ``ORBIT_SLOT_LIMIT`` slots is keyed by
+    ``_engine.orbit_reps``: each S_n-orbit's least mask is filtered and
+    checked up front (``_engine.orbit_classes``), a passing orbit is
+    counted by its size, and the loop scans only the masks of failing
+    orbits, in increasing order.  A sample space may have a deck key
+    (``_class_key``); the rest check every instance.
     """
     decode = _decoder(space)
     check = _route(td, space, field, decode)
+    verdicts: dict[object, list[str]] = {}  # class key -> the clauses of the mask checked
+    failing: dict[object, int] = {}         # class key -> that mask, when it fails
+    checked = 0
     key = None
     if space.kind == "fixture":
         masks: Iterator[int] | list[int] = [-1]
     elif space.mode == "exhaustive" and space.slot_count() <= ORBIT_SLOT_LIMIT:
-        return _run_orbits(td, space, check, decode, cap, counterexamples)
+        keep = _keep(space)
+        # the empty mask is an orbit of its own and no instance
+        for r, size in _engine.orbit_classes(space.n, space.slot_size)[1:]:
+            if keep is None or keep(r):
+                verdicts[r] = clauses = check(r)
+                if clauses:
+                    failing[r] = r
+                else:
+                    checked += size  # a failing orbit's members count as they are scanned
+        # the 2^slots-entry table is built, and scanned, only when an orbit fails
+        rep = _engine.orbit_reps(space.n, space.slot_size) if failing else []
+        key = rep.__getitem__
+        masks = (s for s in range(1, len(rep)) if rep[s] in failing)
     else:
         masks = space.iter_masks(_keep(space))
         key = _class_key(space)
-    verdicts: dict[object, list[str]] = {}  # class key -> its first-seen mask's clauses
-    failing: dict[object, int] = {}         # class key -> that mask, when it fails
-    checked = 0
     truncated = False
     for s in masks:
         checked += 1
@@ -856,12 +825,12 @@ def _run_space(td: TheoremDef, space: SearchSpace, field: FieldSpec, cap: int,
                 clauses = verdicts[c] = check(s)
                 if clauses:
                     failing[c] = s
-            elif clauses and len(counterexamples) < cap:
+            elif clauses and s != failing[c] and len(counterexamples) < cap:
                 clauses = check(s)
                 if not clauses:
                     raise _engine.EngineError(
-                        f"{td.theorem_id}: mask {s} passes but {failing[c]}, the first-seen "
-                        f"mask of its class, fails; the checker is not invariant under "
+                        f"{td.theorem_id}: mask {s} passes but {failing[c]}, the mask its "
+                        f"class was checked on, fails; the checker is not invariant under "
                         f"relabeling")
         if clauses:
             if len(counterexamples) >= cap:

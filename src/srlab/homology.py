@@ -8,17 +8,15 @@ boundary map down with clearing: a face that is a leading row of the
 reduced map one size up has its own column skipped, which leaves every
 rank as it was.  Odd primes and the rationals share one fraction-free
 integer row elimination, reduced mod p or divided by row content over Q.
-A cone (facets sharing a vertex) is acyclic, so ``dims_over_field``
-answers it without eliminating; ``dims_gf2`` always eliminates.
 
 ``dims_cached`` is the memoized front end, with two keys.  The labelled
 key is the family of masks as given, sorted and deduplicated, so a
 repeated restriction or link costs one lookup.  On a miss of that key
-it tests the family for a cone (all nonzero members sharing a vertex)
-before canonicalizing.  That test misses a cone whose shared vertex
-lies outside some nested member; ``dims_over_field`` still answers it
-without eliminating.  The canonical key is the family's antichain
-compressed onto its occupied vertices, so each shape is eliminated once.
+it cuts the family to its antichain.  A cone (maximal members sharing
+a vertex) is acyclic over every field, so its dims are written down
+without eliminating; ``dims_over_field`` and ``dims_gf2`` always
+eliminate.  Any other antichain is compressed onto its occupied
+vertices into the canonical key, so each shape is eliminated once.
 """
 
 from __future__ import annotations
@@ -129,11 +127,6 @@ def pivot_rows_gf2(cols: Iterable[int]) -> int:
     return lead
 
 
-def rank_gf2_columns(cols: list[int]) -> int:
-    """Rank over GF(2) of columns packed as int bitsets."""
-    return pivot_rows_gf2(cols).bit_count()
-
-
 def _rank_exact(rows: list[list[int]], p: int) -> int:
     """Rank of an integer matrix over GF(p), or over Q when ``p == 0``.
 
@@ -229,16 +222,8 @@ def _signed_boundary_rows(lower: list[int], upper: list[int]) -> list[list[int]]
 
 
 def dims_over_field(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, ...]:
-    """Reduced homology dims over an arbitrary FieldSpec (degree -1 first).
-
-    Facets sharing a vertex span a cone, which is acyclic over every
-    field; its dims are all 0 and no boundary map is eliminated.
-    """
-    apex = facets[0] if facets else 0
-    for f in facets:
-        apex &= f
-    if apex:
-        return (0,) * (max(f.bit_count() for f in facets) + 1)
+    """Reduced homology dims over an arbitrary FieldSpec (degree -1 first),
+    by eliminating every boundary map."""
     if field.key == 2:
         return dims_gf2(facets)
     groups = faces_by_size_from_masks(facets)
@@ -270,28 +255,29 @@ def dims_cached(facets, field: FieldSpec) -> tuple[int, ...]:
     The family may hold 0, duplicates and nested members.  It is looked
     up under its labelled key ``(field.key, sorted distinct members)``,
     so the repeated restrictions and links of one complex cost a lookup.
-    On a miss, a family whose nonzero members share a vertex is a cone:
-    its dims are all 0 and it is not canonicalized.  Any other family is
-    cut to its antichain and compressed onto its occupied vertices,
-    which leaves homology as it is, and is eliminated once per canonical
-    key in ``_CACHE``.  A canonical family's two keys coincide, so it is
-    stored once, in ``_CACHE``; cones and the other families go to
-    ``_LABELLED``, which is emptied when it reaches ``_LABELLED_LIMIT``
-    entries, so that a long session keeps storing its newest families.
+    On a miss the family is cut to its antichain, which leaves homology
+    as it is.  An antichain whose members share a vertex is a cone: its
+    dims are all 0 and it is not canonicalized.  Any other antichain is
+    compressed onto its occupied vertices and eliminated once per
+    canonical key in ``_CACHE``.  A canonical family's two keys
+    coincide, so it is stored once, in ``_CACHE``; cones and the other
+    families go to ``_LABELLED``, which is emptied when it reaches
+    ``_LABELLED_LIMIT`` entries, so that a long session keeps storing
+    its newest families.
     """
     key = (field.key, tuple(sorted(set(facets))))
     hit = _LABELLED.get(key) or _CACHE.get(key)
     if hit is not None:
         return hit
     family = key[1]
+    top = antichain(family)
     apex = -1
-    for f in family:
-        if f:
-            apex &= f
+    for f in top:
+        apex &= f
     if apex > 0:
-        dims = (0,) * (max(map(int.bit_count, family)) + 1)
+        dims = (0,) * (max(map(int.bit_count, top)) + 1)
     else:
-        canon, _ = compress_masks(antichain(family))
+        canon, _ = compress_masks(top)
         ckey = (field.key, canon)
         dims = _CACHE.get(ckey)
         if dims is None:

@@ -87,8 +87,9 @@ class TestHochsterIndexing:
             hochster_betti(mt6, GF2, "ideal").entries
 
     def test_size_bound(self):
-        with pytest.raises(ValueError):
-            hochster_betti(Complex.simplex(9), GF2, size_bound=8)
+        # refused before any of the 2^23 restrictions is summed
+        with pytest.raises(ValueError, match="exceeds bound 22"):
+            hochster_betti(Complex.simplex(23), GF2)
 
     def test_void_refused(self):
         with pytest.raises(ValueError):

@@ -129,7 +129,7 @@ def test_pure_engine_filters(n, d):
 def test_codim2_analyze_matches_generic(n):
     eng = codim2_engine(n)
     for s, c in pure_instances(n, n - 2, cover=True):
-        t_cm, serre_viol, dims, _ = eng.analyze_full(s)
+        t_cm, serre_viol, dims = eng.analyze_full(s)
         generic_viol = link_profile(c.facet_masks, GF2)[1]
         assert t_cm == min_cm_t(c, GF2), (n, s)
         assert serre_viol == (_SERRE_NONE if generic_viol == NO_VIOLATION else generic_viol), (n, s)

@@ -436,6 +436,91 @@ class TestOrbitWeights:
         assert r.instances_checked == checked
 
 
+class TestClassMemoChecks:
+    """A failing class is checked once, and then only its recorded
+    members past the one it was checked on are checked again."""
+
+    @staticmethod
+    def _run(sp: SearchSpace, kind: str, fails, cap: int):
+        calls = []
+
+        def counting(inst, field):
+            calls.append(inst)
+            return fails(inst)
+
+        register_theorem("test-counting", kind, counting)
+        try:
+            r = verify_theorem("test-counting", [sp], cap=cap)
+        finally:
+            THEOREMS.pop("test-counting")
+        return r, len(calls)
+
+    @pytest.mark.parametrize("cap", [0, 5, 200])
+    def test_orbit_space(self, cap):
+        sp = SearchSpace(n=5, d=3)
+        r, calls = self._run(sp, "complex",
+                             lambda c: ["3 facets"] if len(c.facet_masks) == 3 else [], cap)
+        rep = hmod._engine.orbit_reps(5, 3)
+        rechecked = sum(rec["mask"] != rep[rec["mask"]] for rec in r.counterexamples)
+        assert calls == 34 - 1 - 4 + rechecked  # the covered orbits of TestOrbitWeights
+        assert r.instances_checked == _covering_count(5, 3)
+        # 100 covered masks in 3 orbits: complements a triangle, P4 or P3 + K2
+        assert len(r.counterexamples) == min(cap, 100) and r.truncated == (cap < 100)
+        assert cap < 100 or rechecked == 100 - 3
+
+    def test_deck_keyed_sample(self):
+        sp = SearchSpace(n=7, d="graphs", mode="sample", count=300, seed=1)
+        r, calls = self._run(sp, "graph",
+                             lambda g: ["14 edges"] if len(g.edges()) == 14 else [], 5)
+        key = deck_key(7, 2)
+        first = {}
+        for s in sp.iter_masks(hmod._keep(sp)):
+            first.setdefault(key(s), s)
+        rechecked = sum(first[key(rec["mask"])] != rec["mask"] for rec in r.counterexamples)
+        assert len(r.counterexamples) == 5 and rechecked
+        assert calls == len(first) + rechecked
+
+    def test_keyless_exhaustive_space(self):
+        # 22 slots: past the orbit tables, so every covered mask is checked
+        r = verify_theorem("cor-bk", [SearchSpace(n=22, d=1)])
+        assert r.ok() and r.instances_checked == 1
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_engine_depth_of_the_non_cm_buchsbaum_class(n):
+    """The covered codimension-2 complex whose dual 1-skeleton is the
+    n-cycle is Buchsbaum, not CM, of depth d - 1: the engine digest
+    reads that depth from the generic route."""
+    cycle = {(1 << v) | (1 << (v + 1) % n) for v in range(n)}
+    full = (1 << n) - 1
+    space = SearchSpace(n=n, d=n - 2)
+    slots = space.slot_masks()
+    s = sum(1 << i for i, f in enumerate(slots) if full ^ f not in cycle)
+    decode = hmod._decoder(space)
+    fast = hmod._engine_digests("chardepth", space, decode)(s)
+    slow = ComplexDigest(decode(s), GF2)
+    for dg in (fast, slow):
+        assert dg.buchsbaum and dg.min_cm_t == 1 and dg.dual_is_cycle
+        assert dg.depth == dg.d - 1 == n - 3
+        assert hmod._chardepth_clauses(dg) == []
+
+
+def test_engine_depth_on_every_codim2_class_of_six_vertices():
+    """Engine and generic depth agree on each covered class at n = 6, where
+    depth d - 2 first occurs (one class, not Buchsbaum)."""
+    space = SearchSpace(n=6, d=4)
+    keep = hmod._keep(space)
+    decode = hmod._decoder(space)
+    engine = hmod._engine_digests("chardepth", space, decode)
+    gaps = []
+    for r, _ in hmod._engine.orbit_classes(6, 4)[1:]:
+        if keep(r):
+            fast, slow = engine(r), ComplexDigest(decode(r), GF2)
+            assert fast.depth == slow.depth, r
+            gaps.append(fast.d - fast.depth)
+    assert sorted(set(gaps)) == [0, 1, 2] and gaps.count(2) == 1 and len(gaps) == 150
+
+
 #: digest fields per kind of space the engine takes
 COMPLEX_FIELDS = ("min_cm_t", "serre_threshold", "dims", "ndp_threshold", "dual_adj",
                   "dual_chordless_min", "dual_is_cycle", "buchsbaum", "depth")

@@ -21,7 +21,6 @@ from srlab.homology import (
     dims_over_field,
     faces_by_size_from_masks,
     pivot_rows_gf2,
-    rank_gf2_columns,
 )
 
 from conftest import cycle_complex
@@ -99,9 +98,9 @@ class TestChainComplex:
         assert all(all(v == 0 for v in row) for row in prod)
 
     def test_rank_gf2_columns(self):
-        assert rank_gf2_columns([0b011, 0b110, 0b101]) == 2
-        assert rank_gf2_columns([]) == 0
-        assert rank_gf2_columns([0, 0]) == 0
+        assert pivot_rows_gf2([0b011, 0b110, 0b101]).bit_count() == 2
+        assert pivot_rows_gf2([]).bit_count() == 0
+        assert pivot_rows_gf2([0, 0]).bit_count() == 0
 
     def test_pivot_rows_are_the_leading_rows_of_the_span(self):
         # the highest set bits of the nonzero vectors in the span, brute forced
@@ -115,7 +114,7 @@ class TestChainComplex:
             lead = pivot_rows_gf2(cols)
             assert lead == leading, cols
             rows = [[v >> i & 1 for v in cols] for i in range(12)]
-            assert lead.bit_count() == rank_gf2_columns(cols) == _reference_rank(rows, 2), cols
+            assert lead.bit_count() == _reference_rank(rows, 2), cols
 
 
 class TestProperties:
@@ -280,26 +279,40 @@ class TestRankExact:
 
 
 class TestConeClosedForm:
-    def test_every_cone_on_five_vertices(self):
-        # facets sharing a vertex: both routes answer without elimination
+    def test_every_cone_on_five_vertices(self, monkeypatch):
+        # facets sharing a vertex: dims_cached answers them without elimination,
+        # also when a nested member misses the apex; dims_over_field eliminates
+        def eliminate(facets, field):
+            raise AssertionError(f"a cone reached elimination: {facets}")
+
         clear_homology_cache()
-        count = 0
+        count = nested = 0
         for facets in _all_complex_facets(5):
             apex = facets[0]
             for f in facets:
                 apex &= f
             if not apex:
                 continue
+            # one sub-face of the last facet that misses every apex vertex
+            variants = [facets] + ([facets + (facets[-1] & ~apex,)]
+                                   if facets[-1] != apex else [])
             for field in (GF2, FieldSpec.gf(3), QQ):
-                dims = dims_cached(facets, field)
-                assert dims == _dims_by_elimination(facets, field.key), (facets, field)
+                dims = _dims_by_elimination(facets, field.key)
                 assert not any(dims), (facets, field)
                 assert dims_over_field(facets, field) == dims
+                with monkeypatch.context() as m:
+                    m.setattr(homology, "dims_over_field", eliminate)
+                    for family in variants:
+                        assert dims_cached(family, field) == dims, (family, field)
+                assert _dims_by_elimination(variants[-1], field.key) == dims
             count += 1
+            nested += len(variants) - 1
         # inclusion-exclusion over apex sets S, |S| = j: the cones with every
         # facet containing S are the nonvoid complexes on the other 5 - j
         # vertices, M(5 - j) - 1 of them (Dedekind numbers 7581, 168, 20, 6, 3, 2)
         assert count == 5 * 167 - 10 * 19 + 10 * 5 - 5 * 2 + 1 == 686
+        # every cone but the 31 single faces, nonempty, has a nested variant
+        assert nested == count - 31
 
     def test_non_cones_still_eliminate(self):
         # the boundary of a triangle shares no vertex: H~_1 = 1
