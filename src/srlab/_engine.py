@@ -33,12 +33,13 @@ Layout:
   FlagTables      homology digests of clique complexes of all graphs on
                   w <= 6 labeled vertices, indexed by edge-set mask.
   Codim2Engine    a PureSpaceEngine for pure codimension-2 complexes and
-                  the graphs behind their duals: the dual's 1-skeleton,
-                  the N_{2,.} threshold and full linearity.
+                  the graphs behind their duals, complemented by one
+                  slot-reversing fold: the dual's 1-skeleton, the N_{2,.}
+                  threshold and full linearity.
   orbit_reps      least slot mask of each S_n-orbit of slot masks, by DFS
   orbit_classes   through two generator OrFolds, and each orbit's (least
                   mask, size) from the same DFS; the harness checks and
-                  counts exhaustive spaces one orbit at a time.
+                  counts every exhaustive space one orbit at a time.
   deck_key        the vertex-deleted deck of the graph behind an edge-set
                   or codimension-2 facet-set mask, as orbit_reps(n - 1, 2)
                   of its cards from one packed OrFold: a complete class
@@ -420,10 +421,8 @@ def deck_key(n: int, k: int) -> Callable[[int], tuple[int, ...]]:
         raise ValueError(f"decks key pairs or their complements on 3 <= n <= 7 vertices, "
                          f"not ({n}, {k})")  # K2 and its complement share a deck
     contrib = _deck_contrib(n)
-    if k != 2:  # facet slot -> its complement pair
-        pair_index = {mask: i for i, mask in enumerate(size_subsets(n, 2))}
-        nfull = (1 << n) - 1
-        contrib = [contrib[pair_index[nfull ^ f]] for f in size_subsets(n, k)]
+    if k != 2:  # facet slot i is the complement of pair slot K-1-i
+        contrib = contrib[::-1]
     fold = OrFold(contrib)  # C(n, 2) <= 2 * FOLD_BITS: read inline
     lo, hi = fold.lo, fold.hi
     rep = orbit_reps(n - 1, 2)
@@ -611,12 +610,10 @@ class Codim2Engine(PureSpaceEngine):
         # C(n, 2) <= 2 * FOLD_BITS facet slots: every fold reads inline
         self.full = (1 << len(self.facet_slots)) - 1
 
-        # facet-slot <-> complement-pair-slot permutations
-        pair_index = {mask: i for i, mask in enumerate(self.pair_slots)}
-        facet_index = {mask: i for i, mask in enumerate(self.facet_slots)}
-        nfull = (1 << n) - 1
-        self.f2e = OrFold([1 << pair_index[nfull ^ f] for f in self.facet_slots])
-        self.e2f = OrFold([1 << facet_index[nfull ^ p] for p in self.pair_slots])
+        # complementing reverses the sorted slot order (facet slot i is the
+        # complement of pair slot K-1-i), so one fold maps both ways
+        K = len(self.facet_slots)
+        self.f2e = OrFold([1 << (K - 1 - i) for i in range(K)])
         # neighbours of each vertex
         self.nbr_folds = [(fold.lo, fold.hi) for fold in (
             OrFold([p ^ (1 << v) if p >> v & 1 else 0 for p in self.pair_slots])
@@ -690,7 +687,7 @@ class Codim2Engine(PureSpaceEngine):
 
     def dual_of_clique_mask(self, e: int) -> int:
         """Facet mask of (clique complex of G)^dual: complements of non-edges."""
-        fold = self.e2f
+        fold = self.f2e
         t = self.full ^ e
         return fold.lo[t & FOLD_MASK] | fold.hi[t >> FOLD_BITS]
 

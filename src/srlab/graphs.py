@@ -1,9 +1,10 @@
 """Simple graphs: complements, clique complexes, chordless cycles.
 
-Chordless (induced) cycles are enumerated by canonical DFS over induced
-paths: a cycle is reported exactly once, rotated so its smallest vertex
-comes first and that vertex's smaller cycle-neighbor second.  "Every
-cycle of length <= r has a chord" is formalized as the absence of
+One canonical DFS over induced paths (``_closing_paths``) finds the
+chordless (induced) cycles, each exactly once, rotated so its smallest
+vertex comes first and that vertex's smaller cycle-neighbor second;
+``induced_cycles`` lists them and ``chordless_span`` reads their lengths.
+"Every cycle of length <= r has a chord" is formalized as the absence of
 induced cycles of length in [4, r]; triangles can never have chords, so
 the r = 3 condition is vacuous.
 """
@@ -170,78 +171,20 @@ def independence_complex(g: Graph) -> Complex:
 # chordless cycles
 
 
-def _chordless_cycles(adj: tuple[int, ...], max_len: int):
-    """Yield chordless cycles (>= 4) as vertex tuples, canonical rotation.
+def _closing_paths(adj: tuple[int, ...], cap: int):
+    """Yield (path, closing) for each induced path that closes chordless
+    cycles of length <= ``cap``: path + (w,) for each bit w of ``closing``.
 
     DFS over induced paths anchored at the smallest cycle vertex: extend
     with vertices above the anchor that see the path end but none of the
-    interior; а neighbor of the anchor closes the cycle.  Requiring
+    interior; a neighbor of the anchor closes the cycle.  Requiring
     second < last kills the reversed copy.
     """
-    n = len(adj)
-    for s in range(n):
-        sbit = 1 << s
-        above = ~((sbit << 1) - 1)
-        start_nbrs = adj[s] & above
-        # path = [s, v, ...]; banned = interior adjacency (minus anchor nbrs)
-        stack = []
-        m = start_nbrs
-        while m:
-            b = m & -m
-            m ^= b
-            stack.append(((s, b.bit_length() - 1), sbit | b, 0))
-        while stack:
-            path, pmask, banned = stack.pop()
-            if len(path) + 1 > max_len:
-                continue
-            end = path[-1]
-            cand = adj[end] & above & ~pmask & ~banned
-            closing = cand & adj[s]
-            extending = cand & ~adj[s]
-            if len(path) >= 3:
-                m = closing
-                while m:
-                    b = m & -m
-                    m ^= b
-                    w = b.bit_length() - 1
-                    if path[1] < w:
-                        yield tuple(v + 1 for v in path) + (w + 1,)
-            new_banned = banned | (adj[end] & above)
-            m = extending
-            while m:
-                b = m & -m
-                m ^= b
-                stack.append((path + (b.bit_length() - 1,), pmask | b, new_banned))
-    return
-
-
-def induced_cycles(g: Graph, max_len: int) -> CycleReport:
-    """All chordless cycles of length 4..max_len, each listed once."""
-    if max_len < 4:
-        raise ValueError("max_len must be >= 4")
-    limit = min(max_len, g.n)
-    cycles = tuple(sorted(_chordless_cycles(g.adj, limit), key=lambda c: (len(c), c)))
-    return CycleReport(cycles=cycles, searched_max_length=max_len)
-
-
-def chordless_span(adj: tuple[int, ...], max_len: int | None = None,
-                   early_min: bool = False) -> tuple[int, int]:
-    """(min, max) length of chordless cycles of length <= ``max_len``
-    (any length by default); (0, 0) when there are none.
-
-    The same DFS over induced paths as ``_chordless_cycles``, with
-    bitmask state and no cycle tuples built: every vertex that closes a
-    path closes a cycle of the same length, so closing is one mask test.
-    ``early_min`` returns as soon as a 4-cycle is seen (nothing shorter
-    exists), reporting (4, 4); use it only when the max is not needed.
-    """
-    n = len(adj)
-    cap = n if max_len is None else min(max_len, n)
-    lo = hi = 0
-    for s in range(n):
+    for s in range(len(adj)):
         sbit = 1 << s
         above = -(sbit << 1)
         adj_s = adj[s]
+        # path = (s, v, ...); banned = interior adjacency (minus anchor nbrs)
         stack = []
         m = adj_s & above
         while m:
@@ -253,22 +196,54 @@ def chordless_span(adj: tuple[int, ...], max_len: int | None = None,
             end = path[-1]
             cand = adj[end] & above & ~pmask & ~banned
             k = len(path)
-            # a closing vertex above the second one: each cycle is seen once
-            if k >= 3 and (cand & adj_s) >> (path[1] + 1):
-                if not lo or k + 1 < lo:
-                    lo = k + 1
-                if k + 1 > hi:
-                    hi = k + 1
-                if early_min and k == 3:
-                    return 4, 4
+            if k >= 3:
+                closing = cand & adj_s & -(2 << path[1])
+                if closing:
+                    yield path, closing
             if k + 2 > cap:
                 continue
             new_banned = banned | (adj[end] & above)
-            mm = cand & ~adj_s
-            while mm:
-                b = mm & -mm
-                mm ^= b
+            m = cand & ~adj_s
+            while m:
+                b = m & -m
+                m ^= b
                 stack.append((path + (b.bit_length() - 1,), pmask | b, new_banned))
+
+
+def induced_cycles(g: Graph, max_len: int) -> CycleReport:
+    """All chordless cycles of length 4..max_len, each listed once."""
+    if max_len < 4:
+        raise ValueError("max_len must be >= 4")
+    cycles = []
+    for path, closing in _closing_paths(g.adj, min(max_len, g.n)):
+        labels = tuple([v + 1 for v in path])
+        while closing:
+            b = closing & -closing
+            closing ^= b
+            cycles.append(labels + (b.bit_length(),))
+    cycles.sort(key=lambda c: (len(c), c))
+    return CycleReport(cycles=tuple(cycles), searched_max_length=max_len)
+
+
+def chordless_span(adj: tuple[int, ...], max_len: int | None = None,
+                   early_min: bool = False) -> tuple[int, int]:
+    """(min, max) length of chordless cycles of length <= ``max_len``
+    (any length by default); (0, 0) when there are none.
+
+    The lengths come from ``_closing_paths``; no cycle tuple is built.
+    ``early_min`` returns as soon as a 4-cycle is seen (nothing shorter
+    exists), reporting (4, 4); use it only when the max is not needed.
+    """
+    n = len(adj)
+    lo = hi = 0
+    for path, _ in _closing_paths(adj, n if max_len is None else min(max_len, n)):
+        k = len(path) + 1
+        if k == 4 and early_min:
+            return 4, 4
+        if not lo or k < lo:
+            lo = k
+        if k > hi:
+            hi = k
     return lo, hi
 
 

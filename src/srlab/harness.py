@@ -4,17 +4,17 @@ Each registered theorem id pairs a clause checker with default search
 spaces pinned in ``verify_manifest.json``.  Spaces define labeled
 instances in a fixed order; sampling is seeded and deduplicated.  Every
 checker, and the cover filter (``_engine.cover_filter``) that every
-route applies, is invariant under relabeling the vertices.  So an
-exhaustive space of at most ``ORBIT_SLOT_LIMIT`` slots is walked one
+route applies, is invariant under relabeling the vertices.  So every
+exhaustive space (at most ``ORBIT_SLOT_LIMIT`` slots) is walked one
 S_n-orbit at a time (``_engine.orbit_classes``): the filter and the
 check run on the orbit's least mask, and the orbit's size is added to
 the count.  A sample space of graphs or of codimension-2 complexes on
 ``DECK_KEY_N`` = 7 vertices checks each isomorphism class once, keyed by
 the vertex-deleted deck of its graph (``_engine.deck_key``), while every
-drawn instance is counted.  Other spaces check every instance.  One
-loop records for all three: it scans the drawn masks, or only the
-masks of failing orbits, and records each failing instance on its own
-mask, re-checking every member but the one its class was checked on.
+drawn instance is counted.  Other samples check every instance.  Every
+class is checked and counted first; then only the members of failing
+classes are scanned, each recorded on its own mask up to the cap and
+re-checked unless its class was checked on it.
 
 The six engine-hooked theorems each have one clause function over a
 digest (``ComplexDigest`` or ``GraphDigest``).  Their registered
@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
@@ -65,8 +66,7 @@ from .fixtures import fixture_complex
 from .graphs import Graph, chordless_span, clique_complex, is_cycle_graph
 from .homology import GF2, FieldSpec, reduced_homology
 
-EXHAUSTIVE_SLOT_LIMIT = 24  # exhaustive mode allowed only when slots <= this
-ORBIT_SLOT_LIMIT = 21       # orbit tables (2^slots entries) up to n = 7 codim-2 and graphs
+ORBIT_SLOT_LIMIT = 21       # exhaustive mode: orbit tables (2^slots entries), up to n = 7 codim-2 and graphs
 SAMPLE_SLOT_LIMIT = 70      # sample mode: every complex space on n <= 8 (C(8,4) = 70), graphs to n = 12
 DECK_KEY_N = 7              # sample spaces keyed by their deck (n - 1 orbit table: 15 slots)
 SAMPLE_ATTEMPT_FACTOR = 300
@@ -123,9 +123,9 @@ class SearchSpace:
             raise HarnessError(f"facet size {self.d} out of range for n={self.n}")
         if self.slot_count() == 0:
             raise HarnessError(f"a {self.kind} space on n={self.n} vertices has no slots")
-        if self.mode == "exhaustive" and self.slot_count() > EXHAUSTIVE_SLOT_LIMIT:
+        if self.mode == "exhaustive" and self.slot_count() > ORBIT_SLOT_LIMIT:
             raise HarnessError(
-                f"exhaustive enumeration needs at most {EXHAUSTIVE_SLOT_LIMIT} "
+                f"exhaustive enumeration needs at most {ORBIT_SLOT_LIMIT} "
                 f"slots; space has {self.slot_count()}"
             )
         if self.mode == "sample":
@@ -616,9 +616,10 @@ def register_theorem(theorem_id: str, kind: str, checker, engine_hook: str | Non
     it returns clauses may not change when the instance is permuted.  An
     exhaustive space checks each S_n-orbit once, on its least mask, and
     counts the orbit's size; an n = 7 sample of graphs or codimension-2
-    complexes checks each isomorphism class once, on its first-seen mask.
-    A recorded member of a failing class is checked on its own mask, and
-    one that passes raises ``EngineError``.
+    complexes checks each isomorphism class once, on its first drawn
+    mask.  After every class is checked, a recorded member of a failing
+    class is checked on its own mask, and one that passes raises
+    ``EngineError``.
     ``engine_hook`` names the theorem's clause function in
     ``_ENGINE_HOOKS``; on a space the table engine takes, that function
     reads digests from the engine instead of calling ``checker``.
@@ -759,85 +760,70 @@ def _route(td: TheoremDef, space: SearchSpace, field: FieldSpec,
     return lambda s: checker(decode(s), field)
 
 
-def _class_key(space: SearchSpace) -> Callable[[int], tuple[int, ...]] | None:
-    """The isomorphism-class key on the slot masks of a space that
-    ``_run_space`` enumerates (a sample space, or an exhaustive space too
-    large for the orbit walk), or None.
+def _classes(space: SearchSpace) -> tuple[list[tuple[int, int]], Callable[
+        [dict[int, list[str]]], Iterator[tuple[int, int]]]]:
+    """(the mask each class is checked on, its instance count) for every
+    class, and ``members(failing)``: each (mask, class mask) pair with
+    its class mask in ``failing``, in enumeration order.
 
-    Sample spaces of graphs or of codimension-2 complexes on ``DECK_KEY_N``
-    vertices key a mask by the deck of its graph (``_engine.deck_key``);
-    every other such space has no key.
+    Classes are the S_n-orbits an exhaustive space's filter keeps, the
+    decks of a ``DECK_KEY_N``-vertex sample of graphs or codimension-2
+    complexes (checked on their first drawn mask), each drawn mask of
+    any other sample, and a fixture's one instance.
     """
-    if space.n == DECK_KEY_N and (space.kind == "graph" or space.d == space.n - 2):
-        return _engine.deck_key(space.n, space.slot_size)
-    return None
+    n, k = space.n, space.slot_size
+    if space.kind == "fixture":
+        drawn = {-1: -1}  # mask -> the mask its class is checked on
+    elif space.mode == "exhaustive":
+        keep = _keep(space)
+        # the empty mask is an orbit of its own and no instance
+        classes = [(r, size) for r, size in _engine.orbit_classes(n, k)[1:]
+                   if keep is None or keep(r)]
+        rep = _engine.orbit_reps(n, k)  # from the same DFS as the classes
+        return classes, lambda failing: (
+            (s, rep[s]) for s in range(1, len(rep)) if rep[s] in failing)
+    elif n == DECK_KEY_N and (space.kind == "graph" or space.d == n - 2):
+        key = _engine.deck_key(n, k)
+        first: dict[tuple[int, ...], int] = {}
+        drawn = {s: first.setdefault(key(s), s) for s in space.iter_masks(_keep(space))}
+    else:
+        drawn = {s: s for s in space.iter_masks(_keep(space))}
+    return (list(Counter(drawn.values()).items()),
+            lambda failing: ((s, c) for s, c in drawn.items() if c in failing))
 
 
 def _run_space(td: TheoremDef, space: SearchSpace, field: FieldSpec, cap: int,
                counterexamples: list[dict]) -> tuple[int, bool]:
     """Check one space's instances; returns (instances checked, truncated).
 
-    One loop records for every space.  A space with a class key checks
-    each class once; a later member of a failing class is re-checked on
-    its own mask when it is recorded, and one that passes raises
-    ``EngineError``, so the records are those of a per-instance run.
-    An exhaustive space of at most ``ORBIT_SLOT_LIMIT`` slots is keyed by
-    ``_engine.orbit_reps``: each S_n-orbit's least mask is filtered and
-    checked up front (``_engine.orbit_classes``), a passing orbit is
-    counted by its size, and the loop scans only the masks of failing
-    orbits, in increasing order.  A sample space may have a deck key
-    (``_class_key``); the rest check every instance.
+    Every class of ``_classes`` is checked and counted first.  Then the
+    members of failing classes are recorded, each on its own mask, until
+    one is past ``cap``; a member its class was not checked on is
+    re-checked, and one that passes raises ``EngineError``, so the
+    records are those of a per-instance run.
     """
     decode = _decoder(space)
     check = _route(td, space, field, decode)
-    verdicts: dict[object, list[str]] = {}  # class key -> the clauses of the mask checked
-    failing: dict[object, int] = {}         # class key -> that mask, when it fails
+    classes, members = _classes(space)
+    failing: dict[int, list[str]] = {}  # class mask -> its clauses
     checked = 0
-    key = None
-    if space.kind == "fixture":
-        masks: Iterator[int] | list[int] = [-1]
-    elif space.mode == "exhaustive" and space.slot_count() <= ORBIT_SLOT_LIMIT:
-        keep = _keep(space)
-        # the empty mask is an orbit of its own and no instance
-        for r, size in _engine.orbit_classes(space.n, space.slot_size)[1:]:
-            if keep is None or keep(r):
-                verdicts[r] = clauses = check(r)
-                if clauses:
-                    failing[r] = r
-                else:
-                    checked += size  # a failing orbit's members count as they are scanned
-        # the 2^slots-entry table is built, and scanned, only when an orbit fails
-        rep = _engine.orbit_reps(space.n, space.slot_size) if failing else []
-        key = rep.__getitem__
-        masks = (s for s in range(1, len(rep)) if rep[s] in failing)
-    else:
-        masks = space.iter_masks(_keep(space))
-        key = _class_key(space)
-    truncated = False
-    for s in masks:
-        checked += 1
-        if key is None:
-            clauses = check(s)
-        else:
-            c = key(s)
-            clauses = verdicts.get(c)
-            if clauses is None:
-                clauses = verdicts[c] = check(s)
-                if clauses:
-                    failing[c] = s
-            elif clauses and s != failing[c] and len(counterexamples) < cap:
-                clauses = check(s)
-                if not clauses:
-                    raise _engine.EngineError(
-                        f"{td.theorem_id}: mask {s} passes but {failing[c]}, the mask its "
-                        f"class was checked on, fails; the checker is not invariant under "
-                        f"relabeling")
+    for c, size in classes:
+        clauses = check(c)
         if clauses:
-            if len(counterexamples) >= cap:
-                truncated = True
-                continue
-            counterexamples.append(_record(space, s, decode(s), clauses))
-    return checked, truncated
+            failing[c] = clauses
+        checked += size
+    if not failing:  # nothing to record: no scan of the members
+        return checked, False
+    for s, c in members(failing):
+        if len(counterexamples) >= cap:
+            return checked, True
+        clauses = failing[c] if s == c else check(s)
+        if not clauses:
+            raise _engine.EngineError(
+                f"{td.theorem_id}: mask {s} passes but {c}, the mask its class was "
+                f"checked on, fails; the checker is not invariant under relabeling")
+        counterexamples.append(_record(space, s, decode(s), clauses))
+    return checked, False
 
 
 def verify_theorem(

@@ -7,11 +7,11 @@ permutations, and the enumeration counts come from inclusion-exclusion.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
-from srlab import Complex
+from srlab import Complex, Graph
 from srlab._bits import antichain
 from srlab.fixtures import fixture_complex, fixture_graph
 
@@ -109,3 +109,27 @@ def gamma_complex(r: int) -> Complex:
     verts = set(range(1, r + 1))
     nonedges = [frozenset(p) for p in combinations(sorted(verts), 2) if frozenset(p) not in edges]
     return Complex.from_facets([tuple(sorted(verts - set(p))) for p in nonedges], n=r)
+
+
+def brute_chordless(g: Graph) -> set[tuple[int, ...]]:
+    """Permutation-based oracle for chordless cycles in canonical rotation."""
+    out = set()
+    for k in range(4, g.n + 1):
+        for verts in permutations(range(1, g.n + 1), k):
+            if verts[0] != min(verts) or verts[1] > verts[-1]:
+                continue
+            ok = all(g.has_edge(verts[i], verts[(i + 1) % k]) for i in range(k))
+            if not ok:
+                continue
+            for i in range(k):
+                for j in range(i + 2, k):
+                    if i == 0 and j == k - 1:
+                        continue
+                    if g.has_edge(verts[i], verts[j]):
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                out.add(verts)
+    return out

@@ -26,6 +26,7 @@ from srlab._engine import (
     _SERRE_NONE,
     codim2_engine,
     cover_filter,
+    deck_key,
     flag_dims,
     flag_tables,
     level_hom,
@@ -36,9 +37,10 @@ from srlab._engine import (
 from srlab.betti import FULL_LINEARITY, check_ndp, hochster_betti
 from srlab.complexes import alexander_dual
 from srlab.criteria import NO_VIOLATION, is_buchsbaum, link_profile, min_cm_t
-from srlab.graphs import Graph, _chordless_cycles, chordless_span, clique_complex
+from srlab.graphs import Graph, chordless_span, clique_complex
 from srlab.homology import faces_by_size_from_masks, reduced_homology
 
+from conftest import brute_chordless
 from test_homology import _dims_by_elimination
 
 SAMPLE = {6: 400, 7: 200}  # seeded instances per space above n = 5
@@ -125,6 +127,27 @@ def test_pure_engine_filters(n, d):
             assert eng.is_buchsbaum(s) == is_buchsbaum(c, GF2), (n, d, s)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+def test_complement_fold(n):
+    """Complementing reverses the sorted slot order, so the one fold f2e
+    maps facet masks to complement-pair masks and back: Alexander
+    duality is an involution on every covered mask, and a facet mask has
+    the deck of its complement graph (every covered mask for n <= 6, a
+    seeded sample at n = 7)."""
+    eng = codim2_engine(n)
+    K = comb(n, 2)
+    for i in range(K):
+        assert eng.facet_slots[i] == ((1 << n) - 1) ^ eng.pair_slots[K - 1 - i]
+        assert eng.f2e.value(1 << i) == 1 << (K - 1 - i)
+    covered = list(filter(cover_filter(n, n - 2), range(1, 1 << K)))
+    for s in covered:
+        assert eng.dual_of_clique_mask(eng.dual_graph_mask(s)) == s, (n, s)
+    if n != 4:  # at n = 4 both keys are deck_key(4, 2)
+        by_facets, by_edges = deck_key(n, n - 2), deck_key(n, 2)
+        for s in covered if n <= 6 else random.Random(n).sample(covered, 20_000):
+            assert by_facets(s) == by_edges(eng.f2e.value(s)), (n, s)
+
+
 @pytest.mark.parametrize("n", range(3, 8))
 def test_codim2_analyze_matches_generic(n):
     eng = codim2_engine(n)
@@ -161,10 +184,10 @@ def test_linearity_data_matches_clique_ideal_betti(n):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_chordless_span_matches_graphs(n):
-    """The span DFS against the cycle enumerator, also with a length cap;
-    the edgeless graph included (a graph space needs n >= 2)."""
+    """The span DFS against the permutation oracle, also with a length
+    cap; the edgeless graph included (a graph space needs n >= 2)."""
     for e, g in [(0, Graph(n, []))] + (list(graph_instances(n)) if n >= 2 else []):
-        lengths = [len(c) for c in _chordless_cycles(g.adj, n)]
+        lengths = [len(c) for c in brute_chordless(g)]
         assert chordless_span(g.adj) == (min(lengths, default=0), max(lengths, default=0)), (n, e)
         lo, _ = chordless_span(g.adj, early_min=True)
         assert lo == min(lengths, default=0), (n, e)

@@ -25,6 +25,8 @@ from srlab import (
 )
 from srlab.graphs import chordless_span
 
+from conftest import brute_chordless
+
 
 def random_graphs(max_n=7):
     def build(n, pairs):
@@ -37,30 +39,6 @@ def random_graphs(max_n=7):
             st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=12),
         )
     )
-
-
-def brute_chordless(g: Graph) -> set[tuple[int, ...]]:
-    """Permutation-based oracle for chordless cycles in canonical rotation."""
-    out = set()
-    for k in range(4, g.n + 1):
-        for verts in itertools.permutations(range(1, g.n + 1), k):
-            if verts[0] != min(verts) or verts[1] > verts[-1]:
-                continue
-            ok = all(g.has_edge(verts[i], verts[(i + 1) % k]) for i in range(k))
-            if not ok:
-                continue
-            for i in range(k):
-                for j in range(i + 2, k):
-                    if i == 0 and j == k - 1:
-                        continue
-                    if g.has_edge(verts[i], verts[j]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.add(verts)
-    return out
 
 
 class TestParse:

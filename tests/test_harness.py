@@ -6,6 +6,7 @@ import json
 import random
 import time
 from functools import reduce
+from itertools import count, islice
 from math import comb
 from operator import or_
 from types import SimpleNamespace
@@ -480,10 +481,36 @@ class TestClassMemoChecks:
         assert len(r.counterexamples) == 5 and rechecked
         assert calls == len(first) + rechecked
 
-    def test_keyless_exhaustive_space(self):
-        # 22 slots: past the orbit tables, so every covered mask is checked
-        r = verify_theorem("cor-bk", [SearchSpace(n=22, d=1)])
-        assert r.ok() and r.instances_checked == 1
+    def test_exhaustive_space_past_the_orbit_tables_refused(self):
+        # 22 and 24 slots: no orbit table, so no route walks them
+        t0 = time.perf_counter()
+        for n in (22, 24):
+            with pytest.raises(HarnessError, match="at most 21 slots"):
+                SearchSpace(n=n, d=1).validate()
+            with pytest.raises(HarnessError):
+                verify_theorem("cor-bk", [SearchSpace(n=n, d=1)])
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("cap", [0, 64])
+    def test_failing_run_stops_at_the_cap(self, cap):
+        # every instance fails: the members are scanned up to the cap, not
+        # through all 2^21 labelled masks
+        sp = SearchSpace(n=7, d=5)
+        hmod._engine.orbit_reps(7, 5)  # the orbit tables are built beforehand
+        register_theorem("test-never", "complex", lambda c, field: ["nope"])
+        try:
+            t0 = time.perf_counter()
+            r = verify_theorem("test-never", [sp], cap=cap)
+            elapsed = time.perf_counter() - t0
+        finally:
+            THEOREMS.pop("test-never")
+        assert elapsed < 0.2
+        assert r.instances_checked == _covering_count(7, 5) == 2_096_731
+        assert r.truncated and not r.ok()
+        slots = sp.slot_masks()
+        covered = (s for s in count(1) if reduce(or_, pick(slots, s)) == (1 << 7) - 1)
+        assert [rec["mask"] for rec in r.counterexamples] == list(islice(covered, cap))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
