@@ -29,21 +29,28 @@ Layout:
   LinkTables      (max unclean size, Serre violation) of every complex
                   with k-subset facets on [m], by facet-set mask: each
                   entry is a PureSpaceEngine digest over the tables one
-                  size down.
-  FlagTables      homology digests of clique complexes of all graphs on
-                  w <= 6 labeled vertices, indexed by edge-set mask.
+                  size down, read through the vertex-link fold.
+  FlagTables      the least nonlinear step of I_{clique(G)} for every graph
+                  G on w <= 6 labeled vertices, by edge-set mask: each
+                  entry is the least of G's own Hochster term and its w
+                  card entries one table down, read through the deck fold.
   Codim2Engine    a PureSpaceEngine for pure codimension-2 complexes and
                   the graphs behind their duals, complemented by one
-                  slot-reversing fold: the dual's 1-skeleton, the N_{2,.}
-                  threshold and full linearity.
+                  slot-reversing fold: the dual's 1-skeleton, and the
+                  N_{2,.} threshold and full linearity from G's own term
+                  and its n card entries in FlagTables(n - 1).
   orbit_reps      least slot mask of each S_n-orbit of slot masks, by DFS
   orbit_classes   through two generator OrFolds, and each orbit's (least
                   mask, size) from the same DFS; the harness checks and
                   counts every exhaustive space one orbit at a time.
   deck_key        the vertex-deleted deck of the graph behind an edge-set
                   or codimension-2 facet-set mask, as orbit_reps(n - 1, 2)
-                  of its cards from one packed OrFold: a complete class
+                  of its cards from the same deck fold: a complete class
                   key for n <= 7, which the harness uses on n = 7 samples.
+
+The vertex-link fold and the deck fold are one construction
+(_vertex_contrib): each packs, for every vertex v, the image of a slot
+mask in the link or the deletion of v, relabeled one size down.
 
 Every table entry depends only on the isomorphism class of its complex
 or graph, so LinkTables and FlagTables compute one entry per orbit and
@@ -270,42 +277,42 @@ def cover_filter(n: int, k: int) -> Callable[[int], bool]:
     return lambda s: lo[s & FOLD_MASK] | hi[s >> FOLD_BITS] == full
 
 
-def _link_fold(slots: list[int], m: int, child: "LinkTables") -> OrFold:
-    """The vertex-link map of a facet-set mask over ``slots`` (k-subsets
-    of [m]): its value packs, for each vertex v+1 of [m], the child-table
-    mask of the link of v+1 at bit v * len(child.slots) (0 when no facet
-    contains v+1)."""
-    index = {mask: i for i, mask in enumerate(child.slots)}
-    width = len(child.slots)
+def _vertex_contrib(slots: list[int], m: int, child_slots: list[int], link: bool) -> list[int]:
+    """Per slot (a subset of [m]): for each vertex v+1 of [m], the bit of
+    its image among ``child_slots`` (subsets of [m - 1]) at bit
+    v * len(child_slots).  The image lies in the link of v+1 when
+    ``link`` (the slots through v+1, less v+1) and in the deletion of v+1
+    otherwise (the slots missing v+1), relabeled onto [m - 1]; the other
+    slots add nothing there.  OR-folded over a slot mask, the value packs
+    the m vertex links, or the m cards, one child mask per vertex."""
+    index = {mask: i for i, mask in enumerate(child_slots)}
+    width = len(child_slots)
     contrib = [0] * len(slots)
     for v in range(m):
         vbit = 1 << v
-        # the facets through v+1, less v+1, relabeled onto [m - 1]
-        inside = [i for i, f in enumerate(slots) if f & vbit]
-        links = remap([slots[i] ^ vbit for i in inside], compress_map(((1 << m) - 1) ^ vbit))
-        for i, f in zip(inside, links):
+        inside = [i for i, f in enumerate(slots) if bool(f & vbit) == link]
+        images = remap([slots[i] & ~vbit for i in inside], compress_map(((1 << m) - 1) ^ vbit))
+        for i, f in zip(inside, images):
             contrib[i] |= 1 << (v * width + index[f])
-    return OrFold(contrib)
+    return contrib
 
 
 def _combine_links(child: "LinkTables", packed: int, mb: int, sv: int) -> tuple[int, int]:
-    """Fold the child digests of the links packed by a ``_link_fold`` into
-    (max unclean size, Serre violation): a face unclean in the link of a
-    vertex is one larger in the complex."""
+    """Fold the child digests of the links packed by a vertex-link fold
+    into (max unclean size, Serre violation): a face unclean in the link
+    of a vertex is one larger in the complex."""
     width = len(child.slots)
     full = (1 << width) - 1
-    maxbad = child.maxbad
-    serre = child.serre
+    digest = child.digest
     while packed:
         lm = packed & full
         packed >>= width
         if lm:
-            c = maxbad[lm]
+            c, v = digest[lm]
             if c >= 0 and c + 1 > mb:
                 mb = c + 1
-            c = serre[lm]
-            if c < sv:
-                sv = c
+            if v < sv:
+                sv = v
     return mb, sv
 
 
@@ -364,6 +371,19 @@ def _orbits(n: int, k: int) -> tuple[list[int], list[tuple[int, int]]]:
     return rep, classes
 
 
+def _orbit_table(m: int, k: int, entry: Callable[[int], object], empty: object) -> list:
+    """table[s] for every slot mask s over size_subsets(m, k): ``empty`` at
+    s = 0, entry(s) at the least mask s of every other S_m-orbit, and its
+    representative's entry on the rest of the orbit, for entries that
+    depend only on the isomorphism class."""
+    rep = orbit_reps(m, k)
+    table = [empty] * len(rep)
+    for s in range(1, len(rep)):
+        r = rep[s]
+        table[s] = entry(s) if r == s else table[r]  # r < s: already filled
+    return table
+
+
 def orbit_reps(n: int, k: int) -> list[int]:
     """rep[s] = the least slot mask in the S_n-orbit of s, where slot masks
     are sets of k-subsets of [n] over size_subsets(n, k).
@@ -385,21 +405,30 @@ def orbit_classes(n: int, k: int) -> list[tuple[int, int]]:
 
 
 @cache
-def _deck_contrib(n: int) -> list[int]:
-    """Per pair of [n] (over size_subsets(n, 2)): its edge bit in each card
-    G - v, relabeled onto [n - 1], at bit v * C(n - 1, 2) (0 in card v
-    when the pair contains v+1).  Built once per n for both slot kinds."""
-    card_index = {mask: i for i, mask in enumerate(size_subsets(n - 1, 2))}
-    width = len(card_index)
-    pairs = size_subsets(n, 2)
-    contrib = [0] * len(pairs)
-    for v in range(n):
-        vbit = 1 << v
-        inside = [i for i, p in enumerate(pairs) if not p & vbit]
-        cards = remap([pairs[i] for i in inside], compress_map(((1 << n) - 1) ^ vbit))
-        for i, p in zip(inside, cards):
-            contrib[i] |= 1 << (v * width + card_index[p])
-    return contrib
+def _deck_fold(n: int, k: int) -> OrFold:
+    """The deck fold of slot masks over size_subsets(n, k), k = 2 or n - 2:
+    its value packs each card G - v of the graph G behind the mask, as an
+    edge mask on [n - 1] at bit v * C(n - 1, 2).  C(n, 2) <= 2 * FOLD_BITS
+    for n <= 7, so it is read inline."""
+    contrib = _vertex_contrib(size_subsets(n, 2), n, size_subsets(n - 1, 2), link=False)
+    if k != 2:  # facet slot i is the complement of pair slot K-1-i
+        contrib = contrib[::-1]
+    return OrFold(contrib)
+
+
+def _read_cards(fold: OrFold, n: int, table: list, combine: Callable[[list], object]
+                ) -> Callable[[int], object]:
+    """read(s) = combine of table[c] over the n cards c that ``fold``, a
+    deck fold on [n], packs for slot mask s."""
+    lo, hi = fold.lo, fold.hi
+    width = comb(n - 1, 2)
+    card = (1 << width) - 1
+    offsets = range(0, n * width, width)
+
+    def read(s: int):
+        cards = lo[s & FOLD_MASK] | hi[s >> FOLD_BITS]
+        return combine([table[cards >> o & card] for o in offsets])
+    return read
 
 
 @cache
@@ -415,25 +444,13 @@ def deck_key(n: int, k: int) -> Callable[[int], tuple[int, ...]]:
     isomorphic; tests/test_orbits.py checks this on every mask for
     n <= 6 and on the 1,044 classes at n = 7.  A key needs the 15-slot
     n - 1 orbit table rather than a 2^21-entry one, so the harness keys
-    n = 7 samples with it.  One packed OR-fold read gives all n cards.
+    n = 7 samples with it.  One deck-fold read gives all n cards.
     """
     if not 3 <= n <= 7 or k not in (2, n - 2):
         raise ValueError(f"decks key pairs or their complements on 3 <= n <= 7 vertices, "
                          f"not ({n}, {k})")  # K2 and its complement share a deck
-    contrib = _deck_contrib(n)
-    if k != 2:  # facet slot i is the complement of pair slot K-1-i
-        contrib = contrib[::-1]
-    fold = OrFold(contrib)  # C(n, 2) <= 2 * FOLD_BITS: read inline
-    lo, hi = fold.lo, fold.hi
-    rep = orbit_reps(n - 1, 2)
-    width = comb(n - 1, 2)
-    card = (1 << width) - 1
-    offsets = range(0, n * width, width)
-
-    def key(s: int) -> tuple[int, ...]:
-        cards = lo[s & FOLD_MASK] | hi[s >> FOLD_BITS]
-        return tuple(sorted([rep[cards >> o & card] for o in offsets]))
-    return key
+    return _read_cards(_deck_fold(n, k), n, orbit_reps(n - 1, 2),
+                       lambda reps: tuple(sorted(reps)))
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +463,13 @@ class LinkTables:
     Index = facet-set mask over size_subsets(m, k).  max_unclean is the
     largest size of a face whose link has homology below its dimension
     (-1 if none); serre_viol is the smallest degree violating a Serre
-    bound anywhere (=_SERRE_NONE if none).  Built bottom-up: an entry is
-    ``PureSpaceEngine(m, k).analyze_full``, which combines the complex's
-    own homology with the digests of its vertex links, which live one
-    table down.  Both digests depend only
-    on the isomorphism class, so one entry per S_m-orbit is computed
-    (at orbit_reps(m, k)) and every other entry copies its
-    representative's; the engines need at most 15 slots here.
+    bound anywhere (=_SERRE_NONE if none); digest[s] is the pair.  Built
+    bottom-up: an entry is ``PureSpaceEngine(m, k).analyze_full``, which
+    combines the complex's own homology with the digests of its vertex
+    links, which live one table down.  Both digests depend only on the
+    isomorphism class, so one entry per S_m-orbit is computed (at
+    orbit_reps(m, k)) and every other entry copies its representative's;
+    the engines need at most 15 slots here.
     """
 
     def __init__(self, m: int, k: int):
@@ -461,23 +478,16 @@ class LinkTables:
         self.m = m
         self.k = k
         self.slots = size_subsets(m, k)
-        K = len(self.slots)
-        size = 1 << K
-        self.maxbad = maxbad = [-1] * size
-        self.serre = serre = [_SERRE_NONE] * size
-        if k == 1:
-            return  # point sets: 0-dimensional, always clean everywhere
-
+        clean = (-1, _SERRE_NONE)
+        if k == 1:  # point sets: 0-dimensional, always clean everywhere
+            self.digest = [clean] * (1 << len(self.slots))
+            return
         eng = PureSpaceEngine(m, k)
-        rep = orbit_reps(m, k)
-        for s in range(1, size):
-            r = rep[s]
-            if r != s:  # r < s: its entry is already filled
-                maxbad[s] = maxbad[r]
-                serre[s] = serre[r]
-                continue
-            t_cm, serre[s], _ = eng.analyze_full(s)
-            maxbad[s] = t_cm - 1
+
+        def entry(s: int) -> tuple[int, int]:
+            t_cm, serre_viol, _ = eng.analyze_full(s)
+            return t_cm - 1, serre_viol
+        self.digest = _orbit_table(m, k, entry, clean)
 
 
 _LINK_TABLES: dict[tuple[int, int], LinkTables] = {}
@@ -502,38 +512,54 @@ def flag_dims(gmask: int, n: int) -> tuple[int, ...]:
     return lh.dims_from_levels(lh.clique_levels(gmask))
 
 
-class FlagTables:
-    """Digests of clique complexes of all graphs on [w], by edge mask.
+def _own_step(dims: tuple[int, ...], n: int) -> int:
+    """The least nonlinear step that W = [n] itself gives I_Delta, from the
+    homology dims of Delta on [n]: n - deg - 2 for the top degree deg >= 1
+    with H~_deg != 0, _SERRE_NONE when there is none."""
+    for deg in range(len(dims) - 2, 0, -1):
+        if dims[deg + 1]:
+            return n - deg - 2
+    return _SERRE_NONE
 
-    nlmax[e] = max degree >= 1 with nonzero reduced homology (-1 when the
-    only homology sits in degrees -1/0): exactly the data Hochster terms
-    need to locate nonlinear Betti entries.  It depends only on the
-    isomorphism class of the graph, so one entry per S_w-orbit is
-    computed (at orbit_reps(w, 2), at most 15 slots for w <= 6) and
-    every other entry copies its representative's.
+
+class FlagTables:
+    """The least nonlinear step of I_{clique(G)} for every graph G on [w],
+    by edge mask.
+
+    step[e] is the least i with beta_{i,j}(I_{clique(G)}) != 0 for some
+    j != i + 2, and _SERRE_NONE when the resolution is linear.  By
+    Hochster's formula, beta_{i,W} = dim H~_{|W|-i-2} of the clique
+    complex of G[W], so exactly the vertex sets W whose clique complex has
+    homology in a degree deg >= 1 give such entries, at step
+    |W| - deg - 2.  Every W short of [w] lies in some card G - v, so an
+    entry is the least of G's own term (W = [w]) and the entries of its
+    w cards in FlagTables(w - 1).  No clique complex on at most 3
+    vertices has homology above degree 0, so those tables are all
+    _SERRE_NONE.  The step depends only on the isomorphism class, so one
+    entry per S_w-orbit is computed (at orbit_reps(w, 2), at most 15
+    slots for w <= 6) and every other entry copies its representative's.
     """
 
     def __init__(self, w: int):
         self.w = w
-        lh = level_hom(w)
-        self.pair_slots = lh.levels[2]
-        nlmax = [-1] * (1 << len(self.pair_slots))
-        rep = orbit_reps(w, 2)
-        for e in range(len(nlmax)):
-            r = rep[e]
-            if r != e:  # r < e: its entry is already filled
-                nlmax[e] = nlmax[r]
-                continue
-            dims = flag_dims(e, w)
-            best = -1
-            for deg in range(1, len(dims) - 1):
-                if dims[deg + 1]:
-                    best = deg
-            nlmax[e] = best
-        self.nlmax = nlmax
+        self.pair_slots = size_subsets(w, 2)
+        if w <= 3:
+            self.step = [_SERRE_NONE] * (1 << len(self.pair_slots))
+            return
+        cards = _card_step(w)
+        self.step = _orbit_table(
+            w, 2, lambda e: min(cards(e), _own_step(flag_dims(e, w), w)), _SERRE_NONE)
 
 
 flag_tables = cache(FlagTables)
+
+
+@cache
+def _card_step(n: int) -> Callable[[int], int]:
+    """steps(e): the least FlagTables(n - 1) entry over the n cards G - v
+    of the graph G on [n] with edge mask ``e``, that is, the least
+    nonlinear step of I_{clique(G)} over the vertex sets short of [n]."""
+    return _read_cards(_deck_fold(n, 2), n, flag_tables(n - 1).step, min)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +591,7 @@ class PureSpaceEngine:
         self.facet_slots = self.lh.levels[d]
         if d >= 2:
             self.lt = link_tables(n - 1, d - 1)
-            self.link_fold = _link_fold(self.facet_slots, n, self.lt)
+            self.link_fold = OrFold(_vertex_contrib(self.facet_slots, n, self.lt.slots, link=True))
         else:  # 0-dimensional: every vertex link is the irrelevant complex
             self.lt = None
             self.link_fold = None
@@ -607,6 +633,7 @@ class Codim2Engine(PureSpaceEngine):
             raise ValueError("codim-2 engine supports 3 <= n <= 7")
         super().__init__(n, n - 2)
         self.pair_slots = self.lh.levels[2]
+        self.card_step = _card_step(n)
         # C(n, 2) <= 2 * FOLD_BITS facet slots: every fold reads inline
         self.full = (1 << len(self.facet_slots)) - 1
 
@@ -619,25 +646,6 @@ class Codim2Engine(PureSpaceEngine):
             OrFold([p ^ (1 << v) if p >> v & 1 else 0 for p in self.pair_slots])
             for v in range(n))]
 
-        # per-W restriction maps of graph edge masks into FlagTables spaces,
-        # as (fold.lo, fold.hi, w, nlmax), for the sizes w whose clique
-        # complexes can have H~_{>=1} at all (none for w <= 3: such a map
-        # could never give a nonlinear term)
-        self.restmaps: list[tuple[list[int], list[int], int, list[int]]] = []
-        for wmask in range(1, 1 << n):
-            w = wmask.bit_count()
-            if w < 2 or w == n:
-                continue
-            ft = flag_tables(w)
-            if max(ft.nlmax) < 1:
-                continue
-            sub_index = {mask: i for i, mask in enumerate(ft.pair_slots)}
-            inside = [p for p in self.pair_slots if p & wmask == p]
-            image = dict(zip(inside, remap(inside, compress_map(wmask))))
-            contrib = [1 << sub_index[image[p]] if p in image else 0 for p in self.pair_slots]
-            fold = OrFold(contrib)
-            self.restmaps.append((fold.lo, fold.hi, w, ft.nlmax))
-
     # -- complex digests (instances are facet masks) -----------------------
 
     def adj_of_edges(self, gmask: int) -> tuple[int, ...]:
@@ -645,38 +653,29 @@ class Codim2Engine(PureSpaceEngine):
         hi_g = gmask >> FOLD_BITS
         return tuple([lo[lo_g] | hi[hi_g] for lo, hi in self.nbr_folds])
 
-    def dual_graph_mask(self, s: int) -> int:
-        """Edges of the dual's 1-skeleton: pairs whose complement facet is absent."""
+    def dual_mask(self, x: int) -> int:
+        """The Alexander-dual side of a mask: a facet mask gives the edges
+        of its dual's 1-skeleton (the pairs whose complement facet is
+        absent), and the edge mask of G gives the facet mask of
+        (clique complex of G)^dual (the complements of the non-edges)."""
         fold = self.f2e
-        t = self.full ^ s
+        t = self.full ^ x
         return fold.lo[t & FOLD_MASK] | fold.hi[t >> FOLD_BITS]
 
     def ndp_threshold(self, gmask: int, dims_c: tuple[int, ...] | None) -> int:
         """min t such that N_{2, d-t} holds for the dual's ideal.
 
-        Scans Hochster terms: a restriction to W with homology in degree
-        deg >= 1 contributes a nonlinear entry at step |W| - deg - 2.
-        dims_c, when given, supplies the full-W term through the
-        Alexander duality self-check path (the dual complex's homology
-        is recomputed directly and compared).
+        The dual of a pure codimension-2 complex is the clique complex of
+        its 1-skeleton G (edge mask ``gmask``), so N_{2,.} fails first at
+        the least nonlinear step of I_{clique(G)}: the least of G's own
+        Hochster term and its n card entries (FlagTables).  The own term
+        reads the dual's homology directly; dims_c, when given, is
+        checked against it by Alexander duality.
         """
-        istar = _SERRE_NONE
-        lo_g = gmask & FOLD_MASK
-        hi_g = gmask >> FOLD_BITS
-        for lo, hi, w, nlmax in self.restmaps:
-            nl = nlmax[lo[lo_g] | hi[hi_g]]
-            if nl >= 1:
-                cand = w - nl - 2
-                if cand < istar:
-                    istar = cand
         dims_dual = flag_dims(gmask, self.n)
         if dims_c is not None:
             _check_duality(dims_c, dims_dual, self.n)
-        for deg in range(1, len(dims_dual) - 1):
-            if dims_dual[deg + 1]:
-                cand = self.n - deg - 2
-                if cand < istar:
-                    istar = cand
+        istar = min(self.card_step(gmask), _own_step(dims_dual, self.n))
         if istar < 1:
             raise EngineError(f"nonlinear Betti entry at homological step {istar} < 1")
         if istar >= _SERRE_NONE:
@@ -685,17 +684,11 @@ class Codim2Engine(PureSpaceEngine):
 
     # -- graph digests (instances are edge masks of G) ---------------------
 
-    def dual_of_clique_mask(self, e: int) -> int:
-        """Facet mask of (clique complex of G)^dual: complements of non-edges."""
-        fold = self.f2e
-        t = self.full ^ e
-        return fold.lo[t & FOLD_MASK] | fold.hi[t >> FOLD_BITS]
-
     def clique_dual_cm(self, e: int, check_duality: bool) -> int | None:
         """min CM_t of the Alexander dual of clique(G), None when that dual
         is void (G complete).  With ``check_duality`` the dual's homology
         is checked against the homology of clique(G) on the way."""
-        s_dual = self.dual_of_clique_mask(e)
+        s_dual = self.dual_mask(e)
         if not s_dual:
             return None
         t_cm, _, dims_dual = self.analyze_full(s_dual)
@@ -704,15 +697,10 @@ class Codim2Engine(PureSpaceEngine):
         return t_cm
 
     def linearity_data(self, e: int) -> bool:
-        """Whether I_{clique(G)} has a linear resolution: no restriction of
-        clique(G), the whole included, has homology in a degree >= 1."""
-        lo_e = e & FOLD_MASK
-        hi_e = e >> FOLD_BITS
-        for lo, hi, _, nlmax in self.restmaps:
-            if nlmax[lo[lo_e] | hi[hi_e]] >= 1:
-                return False
-        dims_g = flag_dims(e, self.n)
-        return not any(dims_g[deg + 1] for deg in range(1, len(dims_g) - 1))
+        """Whether I_{clique(G)} has a linear resolution: no card of G has a
+        nonlinear step (FlagTables), and neither has G's own term."""
+        return (self.card_step(e) == _SERRE_NONE
+                and _own_step(flag_dims(e, self.n), self.n) == _SERRE_NONE)
 
 
 codim2_engine = cache(Codim2Engine)

@@ -62,7 +62,7 @@ from .criteria import (
     satisfies_serre,
     singularity_dimension_lt,
 )
-from .fixtures import fixture_complex
+from .fixtures import COMPLEXES, fixture_complex
 from .graphs import Graph, chordless_span, clique_complex, is_cycle_graph
 from .homology import GF2, FieldSpec, reduced_homology
 
@@ -83,7 +83,7 @@ class HarnessError(ValueError):
 @dataclass(frozen=True)
 class SearchSpace:
     """One enumeration family: pure complexes (facet size d on [n]),
-    graphs on [n], or a single named fixture.
+    graphs on [n], or a single named complex from ``fixtures.COMPLEXES``.
 
     cover: for complexes, require every ambient vertex to be a face; for
     graphs, forbid isolated vertices.
@@ -118,6 +118,9 @@ class SearchSpace:
 
     def validate(self) -> None:
         if self.kind == "fixture":
+            if self.fixture not in COMPLEXES:
+                raise HarnessError(f"no complex fixture named {self.fixture!r} "
+                                   f"(available: {', '.join(sorted(COMPLEXES))})")
             return
         if self.kind == "complex" and not (1 <= int(self.d) <= self.n):
             raise HarnessError(f"facet size {self.d} out of range for n={self.n}")
@@ -430,7 +433,7 @@ class _EngineComplexDigest(ComplexDigest):
     min_cm_t = _lazy(lambda dg: dg.analysis[0])
     serre_threshold = _lazy(lambda dg: max(0, dg.d - 1 - dg.analysis[1]))
     dims = _lazy(lambda dg: dg.analysis[2])
-    dual_edges = _lazy(lambda dg: dg.eng.dual_graph_mask(dg.s))
+    dual_edges = _lazy(lambda dg: dg.eng.dual_mask(dg.s))
     ndp_threshold = _lazy(lambda dg: dg.eng.ndp_threshold(dg.dual_edges, dg.dims))
     dual_adj = _lazy(lambda dg: dg.eng.adj_of_edges(dg.dual_edges))
     buchsbaum = _lazy(lambda dg: dg.eng.is_buchsbaum(dg.s))
@@ -750,12 +753,12 @@ def _route(td: TheoremDef, space: SearchSpace, field: FieldSpec,
     """mask -> violated clauses for one space: the theorem's clauses over
     digests read from the table engine when the space is eligible, else
     its registered checker on the decoded instance."""
+    if td.kind != ("complex" if space.kind == "fixture" else space.kind):  # fixtures are complexes
+        raise HarnessError(f"{td.theorem_id} expects {td.kind} spaces")
     if _engine_eligible(td, space, field):
         clauses = _ENGINE_HOOKS[td.engine_hook]
         digest = _engine_digests(td.engine_hook, space, decode)
         return lambda s: clauses(digest(s))
-    if space.kind != "fixture" and td.kind != space.kind:
-        raise HarnessError(f"{td.theorem_id} expects {td.kind} spaces")
     checker = td.checker
     return lambda s: checker(decode(s), field)
 

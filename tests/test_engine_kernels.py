@@ -7,10 +7,13 @@ seeded samples at n = 6 and 7, and the chordless span on every instance
 for n <= 5.  The GF(2) homology of closures and clique complexes is
 also compared with an elimination of every boundary column, without
 the clearing the engine uses.  The LinkTables and FlagTables the
-engines read are checked entry by entry against link_profile and
-clique-complex homology.  A theorem check that holds returns no clauses
-on either route, so comparing only whether a counterexample appeared
-cannot catch a wrong digest; these comparisons can.
+engines read are checked entry by entry: each LinkTables entry against
+link_profile, and each FlagTables entry (the least nonlinear step of
+I_{clique(G)}, which the N_{2,.} threshold and full linearity read for
+the cards of a graph) against the Betti table of hochster_betti.  A
+theorem check that holds returns no clauses on either route, so
+comparing only whether a counterexample appeared cannot catch a wrong
+digest; these comparisons can.
 """
 
 from __future__ import annotations
@@ -130,8 +133,8 @@ def test_pure_engine_filters(n, d):
 @pytest.mark.parametrize("n", [3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
 def test_complement_fold(n):
     """Complementing reverses the sorted slot order, so the one fold f2e
-    maps facet masks to complement-pair masks and back: Alexander
-    duality is an involution on every covered mask, and a facet mask has
+    maps facet masks to complement-pair masks and back: dual_mask is an
+    involution on every covered mask, and a facet mask has
     the deck of its complement graph (every covered mask for n <= 6, a
     seeded sample at n = 7)."""
     eng = codim2_engine(n)
@@ -141,7 +144,7 @@ def test_complement_fold(n):
         assert eng.f2e.value(1 << i) == 1 << (K - 1 - i)
     covered = list(filter(cover_filter(n, n - 2), range(1, 1 << K)))
     for s in covered:
-        assert eng.dual_of_clique_mask(eng.dual_graph_mask(s)) == s, (n, s)
+        assert eng.dual_mask(eng.dual_mask(s)) == s, (n, s)
     if n != 4:  # at n = 4 both keys are deck_key(4, 2)
         by_facets, by_edges = deck_key(n, n - 2), deck_key(n, 2)
         for s in covered if n <= 6 else random.Random(n).sample(covered, 20_000):
@@ -170,7 +173,7 @@ def test_ndp_threshold_matches_dual_ideal_betti(n):
         dtbl = hochster_betti(alexander_dual(c), GF2, "ideal")
         expected = min(t for t in range(d + 1) if check_ndp(dtbl, 2, d - t))
         dims = reduced_homology(c, GF2).dims
-        assert eng.ndp_threshold(eng.dual_graph_mask(s), dims) == expected, (n, s)
+        assert eng.ndp_threshold(eng.dual_mask(s), dims) == expected, (n, s)
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -234,18 +237,21 @@ def _check_link_table(m: int, k: int, every: bool) -> None:
         facets = tuple(f for i, f in enumerate(lt.slots) if s >> i & 1)
         max_unclean, viol = link_profile(facets, GF2)
         expected = (max_unclean, _SERRE_NONE if viol == NO_VIOLATION else viol)
-        assert (lt.maxbad[s], lt.serre[s]) == expected, (m, k, s)
+        assert lt.digest[s] == expected, (m, k, s)
 
 
 def _check_flag_table(w: int, every: bool) -> None:
+    """Each entry against the least step i of the Betti table of
+    I_{clique(G)} with beta_{i,j} != 0 for some j != i + 2."""
     ft = flag_tables(w)
     slots = len(ft.pair_slots)
     for e in _table_entries(slots, orbit_reps(w, 2), f"flag:{w}", every):
         edges = [((p & -p).bit_length(), p.bit_length())
                  for i, p in enumerate(ft.pair_slots) if e >> i & 1]
-        hv = reduced_homology(clique_complex(Graph(w, edges)), GF2)
-        expected = max((i for i, v in hv.as_dict().items() if i >= 1 and v), default=-1)
-        assert ft.nlmax[e] == expected, (w, e)
+        table = hochster_betti(clique_complex(Graph(w, edges)), GF2, "ideal")
+        expected = min((i for (i, j), v in table.entries.items() if v and j != i + 2),
+                       default=_SERRE_NONE)
+        assert ft.step[e] == expected, (w, e)
 
 
 def test_link_table_keys_cover_the_engines():

@@ -92,6 +92,14 @@ class TestSpaces:
         with pytest.raises(HarnessError):
             SearchSpace(n=8, d=4, mode="exhaustive").validate()  # C(8,4)=70 slots
 
+    @pytest.mark.parametrize("name", ["NOPE", "C5.graph"])
+    def test_fixture_must_name_a_complex(self, name):
+        # C5.graph is a graph fixture: a fixture space decodes a complex
+        with pytest.raises(HarnessError, match="no complex fixture"):
+            SearchSpace(fixture=name).validate()
+        with pytest.raises(HarnessError, match="no complex fixture"):
+            verify_theorem("thm-er", [SearchSpace(fixture=name)])
+
     def test_sample_needs_seed(self):
         with pytest.raises(HarnessError):
             SearchSpace(n=4, d=2, mode="sample", count=5).validate()
@@ -159,6 +167,12 @@ class TestVerify:
     def test_fixture_space(self):
         r = verify_theorem("cor-bk", [SearchSpace(fixture="MT6")])
         assert r.ok() and r.instances_checked == 1
+
+    @pytest.mark.parametrize("tid", ["thm-main2", "cor-linear", "froberg"])
+    def test_graph_theorem_refuses_fixture_space(self, tid):
+        # every fixture space holds a complex, never a graph
+        with pytest.raises(HarnessError, match="expects graph spaces"):
+            verify_theorem(tid, [SearchSpace(fixture="C4")])
 
     def test_sampled_run_echoes_seed(self):
         r = verify_theorem("thm-main", max_n=4, sample=10, seed=42)
