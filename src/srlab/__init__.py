@@ -31,6 +31,7 @@ from .betti import (
     check_er_shape,
     check_ndp,
     check_subadditivity,
+    dual_ideal_table,
     hochster_betti,
     homological_invariants,
     render_betti,

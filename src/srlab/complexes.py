@@ -296,37 +296,33 @@ def restriction(c: Complex, vertices: Iterable[int]) -> LinkResult:
     return LinkResult(Complex(w.bit_count(), relabeled, _trusted=True), old)
 
 
-def minimal_nonfaces(c: Complex) -> list[tuple[int, ...]]:
-    """Inclusion-minimal non-faces, sorted by size then lexicographically.
+def _minimal_nonface_masks(c: Complex) -> list[int]:
+    """Inclusion-minimal nonfaces as masks, in no particular order.
 
-    Ascends by cardinality, skipping supersets of already-found
-    nonfaces; fine for n <= 25.
+    A minimal nonface less its highest vertex is a face, so each one is
+    met exactly once: as a face f extended by a vertex above f's highest,
+    that is no face although every subset one smaller is.
     """
     if c.is_void:
-        return [()]
+        return [0]
     faces = c.face_masks()
-    found: list[int] = []
-    frontier = [0]  # faces of the current size
-    size = 0
-    while frontier and size < c.n:
-        size += 1
-        nxt = []
-        seen: set[int] = set()
-        for f in frontier:
-            hi = f & -f if f else 0
-            for b in bits_of(((1 << c.n) - 1) ^ f):
-                if b < hi:
-                    continue  # extend ascending to visit each candidate once
-                cand = f | b
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if cand in faces:
-                    nxt.append(cand)
-                elif all(cand & g != g for g in found):
-                    found.append(cand)
-        frontier = nxt
-    return sorted((labels_of(m) for m in found), key=lambda t: (len(t), t))
+    top = 1 << c.n
+    found = []
+    for f in faces:
+        drops = bits_of(f)
+        b = 1 << f.bit_length()
+        while b < top:
+            cand = f | b
+            if cand not in faces and all(cand ^ x in faces for x in drops):
+                found.append(cand)
+            b <<= 1
+    return found
+
+
+def minimal_nonfaces(c: Complex) -> list[tuple[int, ...]]:
+    """Inclusion-minimal non-faces, sorted by size then lexicographically."""
+    return sorted((labels_of(m) for m in _minimal_nonface_masks(c)),
+                  key=lambda t: (len(t), t))
 
 
 def alexander_dual(c: Complex) -> Complex:
@@ -337,7 +333,7 @@ def alexander_dual(c: Complex) -> Complex:
     void.
     """
     full = (1 << c.n) - 1
-    duals = [full ^ mask_of(nf) for nf in minimal_nonfaces(c)]
+    duals = [full ^ m for m in _minimal_nonface_masks(c)]
     return Complex(c.n, duals, _trusted=True) if duals else Complex.void(c.n)
 
 

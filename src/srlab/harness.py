@@ -43,15 +43,11 @@ from .betti import (
     check_er_shape,
     check_ndp,
     check_subadditivity,
+    dual_ideal_table,
     hochster_betti,
     homological_invariants,
 )
-from .complexes import (
-    Complex,
-    alexander_dual,
-    barycentric_subdivision,
-    skeleton_graph,
-)
+from .complexes import Complex, alexander_dual, barycentric_subdivision
 from .criteria import (
     cm_t,
     ext_dim_profile,
@@ -122,8 +118,11 @@ class SearchSpace:
                 raise HarnessError(f"no complex fixture named {self.fixture!r} "
                                    f"(available: {', '.join(sorted(COMPLEXES))})")
             return
-        if self.kind == "complex" and not (1 <= int(self.d) <= self.n):
-            raise HarnessError(f"facet size {self.d} out of range for n={self.n}")
+        if self.kind == "complex":
+            if isinstance(self.d, bool) or not isinstance(self.d, int):
+                raise HarnessError(f"facet size must be an int or 'graphs', not {self.d!r}")
+            if not 1 <= self.d <= self.n:
+                raise HarnessError(f"facet size {self.d} out of range for n={self.n}")
         if self.slot_count() == 0:
             raise HarnessError(f"a {self.kind} space on n={self.n} vertices has no slots")
         if self.mode == "exhaustive" and self.slot_count() > ORBIT_SLOT_LIMIT:
@@ -254,12 +253,24 @@ def _check_thm_er(c: Complex, field: FieldSpec) -> list[str]:
     return out
 
 
+def _is_full_simplex(c: Complex) -> bool:
+    """Whether c is the full simplex on [n], the one complex whose
+    Alexander dual is void."""
+    return c.facet_masks == ((1 << c.n) - 1,)
+
+
 def _check_thm_main(c: Complex, field: FieldSpec) -> list[str]:
-    d = _dim_ring(c)
-    dual = alexander_dual(c)
-    if dual.is_void:
+    """CM_t of Delta gives N_{n-d, 2d-n-t+2} of the dual's ideal.
+
+    The dual's table is ``dual_ideal_table``, read from the links of
+    Delta, so the theorem is checked modulo Hochster's dual formula on
+    those links, not modulo Alexander duality plus Hochster's formula
+    on the restrictions of a built dual.
+    """
+    if _is_full_simplex(c):
         return []
-    dtbl = hochster_betti(dual, field, "ideal")
+    d = _dim_ring(c)
+    dtbl = dual_ideal_table(c, field)
     out = []
     for t in range(0, d + 1):
         if cm_t(c, t, field) and not check_ndp(dtbl, c.n - d, 2 * d - c.n - t + 2):
@@ -284,11 +295,16 @@ def _check_cor_yan(c: Complex, field: FieldSpec) -> list[str]:
 
 
 def _check_yanagawa(c: Complex, field: FieldSpec) -> list[str]:
-    d = _dim_ring(c)
-    dual = alexander_dual(c)
-    if dual.is_void:
+    """S_r of Delta iff N_{n-d, r} of the dual's ideal, for r in 2..d+1.
+
+    The dual's table is ``dual_ideal_table``, read from the links of
+    Delta: the check holds modulo Hochster's dual formula on those links,
+    not modulo Alexander duality plus Hochster's formula on a built dual.
+    """
+    if _is_full_simplex(c):
         return []
-    dtbl = hochster_betti(dual, field, "ideal")
+    d = _dim_ring(c)
+    dtbl = dual_ideal_table(c, field)
     out = []
     for r in range(2, d + 2):
         lhs = satisfies_serre(c, r, field)
@@ -308,13 +324,19 @@ def _check_remark_serre(c: Complex, field: FieldSpec) -> list[str]:
 
 
 def _check_subadd(c: Complex, field: FieldSpec) -> list[str]:
+    """Subadditivity of the syzygy degrees of I_Delta and of I_{Delta^vee}.
+
+    I_Delta's table is Hochster's sum over restrictions; the dual's is
+    ``dual_ideal_table``, read from the links of Delta, so the dual half
+    holds modulo Hochster's dual formula on those links, not modulo
+    Alexander duality plus Hochster's formula on a built dual.
+    """
     out = []
     v = check_subadditivity(hochster_betti(c, field, "ideal"))
     if v:
         out.append(f"subadditivity violations on I_Delta: {v}")
-    dual = alexander_dual(c)
-    if not dual.is_void:
-        v = check_subadditivity(hochster_betti(dual, field, "ideal"))
+    if not _is_full_simplex(c):
+        v = check_subadditivity(dual_ideal_table(c, field))
         if v:
             out.append(f"subadditivity violations on I_dual: {v}")
     return out
@@ -381,6 +403,19 @@ def _threshold(holds: Callable[[int], bool], d: int) -> int | None:
     return next((t for t in range(d + 1) if holds(d - t)), None)
 
 
+def _dual_adj(c: Complex) -> tuple[int, ...]:
+    """Adjacency of the Alexander dual's 1-skeleton, without the dual:
+    {a, b} is an edge of it iff [n] \\ {a, b} is not a face of c."""
+    full = (1 << c.n) - 1
+    adj = [0] * c.n
+    for a in range(c.n):
+        for b in range(a + 1, c.n):
+            if not c.has_face_mask(full ^ (1 << a) ^ (1 << b)):
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    return tuple(adj)
+
+
 class ComplexDigest:
     """What thm-topin, prop-chardepth and cor-bk read about a complex,
     from the public modules over any field.
@@ -390,7 +425,9 @@ class ComplexDigest:
     least t in 0..d at which its property holds; CM_t, N_{2,d-t}, S_{d-t}
     and the chord condition at d-t+2 then hold for every larger t too.
     ``dims`` are reduced homology dims from degree -1; ``dual_adj`` is the
-    adjacency of the Alexander dual's 1-skeleton.
+    adjacency of the Alexander dual's 1-skeleton.  Neither it nor the
+    N_{2,p} threshold builds the dual: the threshold reads
+    ``dual_ideal_table``, from the links of the complex.
     """
 
     def __init__(self, c: Complex, field: FieldSpec):
@@ -403,10 +440,9 @@ class ComplexDigest:
     serre_threshold = _lazy(lambda dg: _threshold(
         partial(satisfies_serre, dg.c, field=dg.field), dg.d))
     dims = _lazy(lambda dg: reduced_homology(dg.c, dg.field).dims)
-    dual = _lazy(lambda dg: alexander_dual(dg.c))
     ndp_threshold = _lazy(lambda dg: _threshold(
-        partial(check_ndp, hochster_betti(dg.dual, dg.field, "ideal"), 2), dg.d))
-    dual_adj = _lazy(lambda dg: skeleton_graph(dg.dual).adj)
+        partial(check_ndp, dual_ideal_table(dg.c, dg.field), 2), dg.d))
+    dual_adj = _lazy(lambda dg: _dual_adj(dg.c))
     dual_chordless_min = _lazy(lambda dg: chordless_span(dg.dual_adj, early_min=True)[0])
     dual_is_cycle = _lazy(lambda dg: is_cycle_graph(Graph.from_adj(dg.dual_adj)))
     buchsbaum = _lazy(lambda dg: is_buchsbaum(dg.c, dg.field))

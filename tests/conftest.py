@@ -7,6 +7,7 @@ permutations, and the enumeration counts come from inclusion-exclusion.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -61,6 +62,15 @@ def brute_dual(c: Complex) -> Complex:
     return Complex(c.n, antichain(dual_faces), _trusted=True)
 
 
+def seeded_complexes(n: int, count: int, seed: int) -> list[Complex]:
+    """``count`` complexes on [n] from a seeded stream, each generated by
+    1 to 8 random faces of any size (the full simplex included)."""
+    rng = random.Random(seed)
+    return [Complex.from_facets([rng.sample(range(1, n + 1), rng.randint(0, n))
+                                 for _ in range(rng.randint(1, 8))], n=n)
+            for _ in range(count)]
+
+
 def brute_minimal_nonfaces(c: Complex) -> list[tuple[int, ...]]:
     """Minimal nonfaces by scanning every subset."""
     faces = c.face_masks()
@@ -85,6 +95,23 @@ def brute_minimal_nonfaces(c: Complex) -> list[tuple[int, ...]]:
                 labels.append(b.bit_length())
             out.append(tuple(labels))
     return sorted(out, key=lambda t: (len(t), t))
+
+
+def all_complex_facets(n: int):
+    """Facet masks of every nonvoid complex on [n], from its down-set bitmap.
+
+    A down-set of 2^[n] is D0 + {S + n : S in D1} with D1 <= D0 down-sets
+    of 2^[n-1]; bit m of the bitmap says whether face m is present.
+    """
+    downsets = [0, 1]
+    for k in range(1, n + 1):
+        shift = 1 << (k - 1)
+        downsets = [d0 | d1 << shift for d0 in downsets for d1 in downsets if d1 & ~d0 == 0]
+    for d in downsets:
+        if d:
+            faces = [m for m in range(1 << n) if d >> m & 1]
+            yield tuple(f for f in faces
+                        if not any(g != f and g & f == f for g in faces))
 
 
 def all_pure_complexes(n: int, d: int, cover: bool = True):

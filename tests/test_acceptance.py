@@ -32,6 +32,7 @@ from srlab import (
     skeleton_graph,
     verify_theorem,
 )
+from srlab import cli
 from srlab.fixtures import fixture_complex, fixture_graph
 
 from conftest import all_pure_complexes, gamma_complex
@@ -250,3 +251,52 @@ def test_criterion_13_determinism():
     elapsed = time.perf_counter() - t0
     _report(13, elapsed, 600.0,
             "repeated verify runs serialize to byte-identical JSON")
+
+
+#: sha256 of the stdout of ``srlab verify ID --json --field K`` on the
+#: default spaces for the odd-characteristic and rational fields, which
+#: take the generic route on every space
+ODD_FIELD_RUN_SHA256 = {
+    "3": {
+        "cor-bk": "beb2f0911e94650999397a8569f1f821d5fc11c44665c561330165e7fa78bd8e",
+        "cor-linear": "02f1b1c5b0530e40960e17367bfa0bdcb7e185a0bab3c45710f6605c71a9cbd8",
+        "cor-yan": "c2aaafee28f5a5a7f1d35b7f907a96ccc401c6228e7ffcfa7d5228411036f6bf",
+        "ext-profile": "094602de4e3f995f124e2fd8a64d3cb0f006730479392d6d29a46deed6e47bb2",
+        "froberg": "842724a600d3b5b9dfd43f3cf6fadae689db639e26ea101a4fbc6c363c76ebf2",
+        "prop-chardepth": "2702917ca90377fe30b9226c4f6e70d43cff1c69844b65e07ef6eabdf40c1f6a",
+        "remark-serre": "0ed080d2c6ac75853304b508ff9365f2cbcaa9c5ca95a6abbd5a737b24347b71",
+        "sd-invariance": "d1e8eed3405acff6b8a8040c5ab149d3c02cbaf81897d0869356c2534e3013a1",
+        "subadd": "7423d57e989b4552d476bfddfc84fb68236fe8f0111b3c98e6546fefb2b122f8",
+        "thm-er": "740e518e3dd9e9b6af0c6a3302167e1738e2b31e9c302f67393dd2b0eb996ef8",
+        "thm-main": "15f31567a90a417c73bf5fbdc8f6de8e574a349f6f7e0ed42f8c1b950e3b4b11",
+        "thm-main2": "e597b9623195006ea966f8fe29b2816e90674b386ba5769f469ab808b7715221",
+        "thm-topin": "3330f85c652ed4b08dbd0f50983e30bddcce44d1ae0e02e27df8b7b9fc2c7282",
+        "yanagawa-bridge": "caa8272782057e814c71d0258ecf816dbec067c1a36b2d45d4051448718a2649",
+    },
+    "q": {
+        "cor-bk": "f53fd798db7f44884d58891deb3077d8043c3e609a79306937125a584ffde15e",
+        "cor-linear": "53cfacd1099dbf7d7654b29edbf56bf5cd0086859f3c688f106d84d83c67d8ab",
+        "cor-yan": "3e80ed9a72e4d2d8b0258548ffb91987f435d12e97dacfaeace502af3a654669",
+        "ext-profile": "45bb322f09119de0c51d0be42eaf4fce4f697d406fcdfb827089ffa990299d1b",
+        "froberg": "140b80f78bfd0135f2960e5a4cc0bb72754f5389084260d07ebdc3099560446b",
+        "prop-chardepth": "ba68f6698fd66c227179658e67dc365b5663752f84e6041a61e9ed21bd12f2dd",
+        "remark-serre": "67ccafadc520839ed81b69a74d1439ed2aefc645aee247fe6a050c7819d98884",
+        "sd-invariance": "d5a08bb9a03234eea763e70af3f743aa19b6ea5da5611e0636a7ed4f64f18311",
+        "subadd": "0c5728b9df46136cbdd2683eaf4dcd293580c6f8a166e62c66c5d461b90a00d9",
+        "thm-er": "e2114330c6073b4258a2b99536c9a80d3baeb4edc7c67968cc7d38bd23b99c6e",
+        "thm-main": "1eafca4c5be34d0a38d75e28e386518c40cac0ed9104fa8b29f64265d10ebb8f",
+        "thm-main2": "83dd48e01f8432c3281c3c55905f756c920396436d29c6a6f2ab58b285390705",
+        "thm-topin": "ab487928a269d5b386d92f12555a57e3a93ed71ff1454e4418adad2b2ad7a1e4",
+        "yanagawa-bridge": "92d006062645fb0fa3bd99527d8b5d5f25ce032a7aa4d376b2818750fec76854",
+    },
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", sorted(ODD_FIELD_RUN_SHA256))
+@pytest.mark.parametrize("theorem_id", sorted(DEFAULT_RUN_SHA256))
+def test_odd_field_run_bytes(theorem_id, field, capsys):
+    assert cli.main(["verify", theorem_id, "--json", "--field", field]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == ODD_FIELD_RUN_SHA256[field][theorem_id], \
+        f"{theorem_id} over field {field}: output bytes changed"

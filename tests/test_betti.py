@@ -23,12 +23,11 @@ from srlab import (
     render_betti,
 )
 from srlab._bits import antichain, remap
-from srlab.betti import BettiTable, betti_json, ring_table
+from srlab.betti import BettiTable, betti_json, dual_ideal_table, ring_table
 from srlab.homology import FieldSpec, clear_homology_cache, dims_cached, dims_over_field
 
-from conftest import all_pure_complexes
+from conftest import all_complex_facets, all_pure_complexes, seeded_complexes
 from test_complexes import small_complexes
-from test_homology import _all_complex_facets
 
 
 class TestHochsterIndexing:
@@ -250,7 +249,7 @@ class TestConeRestrictions:
     def test_every_complex(self, n, field):
         # hochster_betti lets dims_cached answer cones
         count = 0
-        for facets in _all_complex_facets(n):
+        for facets in all_complex_facets(n):
             c = Complex(n, facets, _trusted=True)
             assert hochster_betti(c, field, "ring") == _ring_table_every_restriction(
                 c, field), facets
@@ -265,7 +264,7 @@ class TestUnusedVertices:
         # complexes on 5 vertices spread over n = 6..8: W with unused vertices
         # are labelled lookups, checked against the uncached sum
         rng = random.Random(100 * ghosts + field.key)
-        everything = list(_all_complex_facets(5))
+        everything = list(all_complex_facets(5))
         for facets in rng.sample(everything, 12) + [(0,), (0b11111,), (0b1, 0b10)]:
             c = _with_unused_vertices(facets, 5, ghosts, rng)
             assert hochster_betti(c, field, "ring") == _ring_table_every_restriction(
@@ -282,7 +281,7 @@ class TestUnusedVertices:
         rng = random.Random(7)
         complexes = [mt6, r6, dualc5, alexander_dual(mt6)] + [
             _with_unused_vertices(facets, 5, 1 + k % 3, rng)
-            for k, facets in enumerate(rng.sample(list(_all_complex_facets(5)), 6))]
+            for k, facets in enumerate(rng.sample(list(all_complex_facets(5)), 6))]
         cold = {}
         for k, c in enumerate(complexes):
             for field in FIELDS:
@@ -321,3 +320,50 @@ class TestDimsCachedFamilies:
         expected = dims_over_field(antichain(family), field)
         assert dims_cached(family, field) == expected
         assert dims_cached(family[::-1] + family, field) == expected
+
+
+class TestDualIdealTable:
+    """The dual's table from the links of Delta equals Hochster's sum over
+    the restrictions of the built dual, as a whole dataclass."""
+
+    @staticmethod
+    def _oracle(c: Complex, field) -> BettiTable:
+        return hochster_betti(alexander_dual(c), field, "ideal")
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("n", range(2, 6))  # n = 1 has only the full simplex
+    def test_every_covered_pure_complex(self, n, field):
+        checked = 0
+        for d in range(1, n + 1):
+            for c in all_pure_complexes(n, d):
+                if c != Complex.simplex(n):
+                    assert dual_ideal_table(c, field) == self._oracle(c, field), c
+                    checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("n", range(6, 9))
+    def test_seeded(self, n, field):
+        for c in seeded_complexes(n, 30, seed=10 * n + field.key):
+            if c != Complex.simplex(n):
+                assert dual_ideal_table(c, field) == self._oracle(c, field), c
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_fixtures(self, field, mt6, r6, d6, dualc5):
+        for c in (mt6, r6, d6, dualc5):
+            assert dual_ideal_table(c, field) == self._oracle(c, field), c
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_void_and_irrelevant(self, n):
+        # the void complex's dual is the full simplex, with the zero ideal
+        assert dual_ideal_table(Complex.void(n)) == self._oracle(Complex.void(n), GF2)
+        if n:  # the irrelevant complex on no vertices is the full simplex
+            t = dual_ideal_table(Complex.irrelevant(n))
+            assert t == self._oracle(Complex.irrelevant(n), GF2)
+            assert t.entries == {(0, n): 1} and t.dim_ring == n - 1
+
+    def test_full_simplex_refused(self):
+        with pytest.raises(ValueError, match="void Alexander dual"):
+            dual_ideal_table(Complex.simplex(3))
+        with pytest.raises(ValueError):
+            self._oracle(Complex.simplex(3), GF2)

@@ -22,7 +22,14 @@ from srlab import (
 from srlab._bits import antichain
 from srlab.complexes import sd_vertex_order
 
-from conftest import brute_dual, brute_minimal_nonfaces, cycle_complex, gamma_complex
+from conftest import (
+    all_complex_facets,
+    brute_dual,
+    brute_minimal_nonfaces,
+    cycle_complex,
+    gamma_complex,
+    seeded_complexes,
+)
 
 
 def small_complexes(max_n=6):
@@ -205,6 +212,21 @@ class TestDuality:
         facets = {frozenset(range(1, c.n + 1)) - frozenset(f) for f in dual.facets()} \
             if not dual.is_void else set()
         assert nf == facets or (c == Complex.simplex(c.n) and not facets)
+
+
+class TestDualAgainstSubsetScan:
+    @pytest.mark.parametrize("n", range(5))
+    def test_every_complex(self, n):
+        for facets in [()] + list(all_complex_facets(n)):  # the void complex too
+            c = Complex(n, facets, _trusted=True)
+            assert alexander_dual(c) == brute_dual(c), facets
+            assert minimal_nonfaces(c) == brute_minimal_nonfaces(c), facets
+
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_seeded(self, n):
+        for c in seeded_complexes(n, 60, seed=n):
+            assert alexander_dual(c) == brute_dual(c), c
+            assert minimal_nonfaces(c) == brute_minimal_nonfaces(c), c
 
 
 class TestMinimalNonfaces:

@@ -18,9 +18,11 @@ from srlab import (
     GF2,
     Graph,
     SearchSpace,
+    alexander_dual,
     enumerate_graphs,
     enumerate_pure_complexes,
     replay_counterexample,
+    skeleton_graph,
     theorem_ids,
     verify_theorem,
 )
@@ -36,6 +38,8 @@ from srlab.harness import (
     load_manifest,
     register_theorem,
 )
+
+from conftest import all_complex_facets
 
 
 class TestSpaces:
@@ -103,6 +107,15 @@ class TestSpaces:
     def test_sample_needs_seed(self):
         with pytest.raises(HarnessError):
             SearchSpace(n=4, d=2, mode="sample", count=5).validate()
+
+    @pytest.mark.parametrize("d", [2.5, True, "foo"])
+    def test_facet_size_must_be_an_int(self, d):
+        # not read through int(): 2.5 would check the d = 2 space, True d = 1
+        sp = SearchSpace(n=4, d=d)
+        with pytest.raises(HarnessError, match="facet size must be an int"):
+            sp.validate()
+        with pytest.raises(HarnessError, match="facet size must be an int"):
+            verify_theorem("thm-er", [sp])
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_graph_space_without_slots_rejected(self, n):
@@ -560,6 +573,14 @@ def test_engine_depth_on_every_codim2_class_of_six_vertices():
             assert fast.depth == slow.depth, r
             gaps.append(fast.d - fast.depth)
     assert sorted(set(gaps)) == [0, 1, 2] and gaps.count(2) == 1 and len(gaps) == 150
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_dual_adj_without_the_dual(n):
+    # {a, b} is a dual edge iff [n] \ {a, b} is no face, on every complex
+    for facets in [()] + list(all_complex_facets(n)):
+        c = Complex(n, facets, _trusted=True)
+        assert hmod._dual_adj(c) == skeleton_graph(alexander_dual(c)).adj, facets
 
 
 #: digest fields per kind of space the engine takes

@@ -23,7 +23,7 @@ from srlab.homology import (
     pivot_rows_gf2,
 )
 
-from conftest import cycle_complex
+from conftest import all_complex_facets, cycle_complex
 from test_complexes import small_complexes
 
 
@@ -218,23 +218,6 @@ def _random_matrix(rng):
     return rows
 
 
-def _all_complex_facets(n):
-    """Facet masks of every nonvoid complex on [n], from its down-set bitmap.
-
-    A down-set of 2^[n] is D0 + {S + n : S in D1} with D1 <= D0 down-sets
-    of 2^[n-1]; bit m of the bitmap says whether face m is present.
-    """
-    downsets = [0, 1]
-    for k in range(1, n + 1):
-        shift = 1 << (k - 1)
-        downsets = [d0 | d1 << shift for d0 in downsets for d1 in downsets if d1 & ~d0 == 0]
-    for d in downsets:
-        if d:
-            faces = [m for m in range(1 << n) if d >> m & 1]
-            yield tuple(f for f in faces
-                        if not any(g != f and g & f == f for g in faces))
-
-
 def _dims_by_elimination(facets, p):
     """Reduced homology dims from _rank_exact on every boundary matrix."""
     groups = faces_by_size_from_masks(facets)
@@ -267,7 +250,7 @@ class TestRankExact:
     def test_gf2_matches_bit_packed_kernel(self):
         # every complex on 5 vertices; fewer vertices are these plus unused ones
         count = 0
-        for facets in _all_complex_facets(5):
+        for facets in all_complex_facets(5):
             assert _dims_by_elimination(facets, 2) == dims_gf2(facets), facets
             count += 1
         assert count == 7580  # Dedekind number M(5) = 7581, less the void complex
@@ -287,7 +270,7 @@ class TestConeClosedForm:
 
         clear_homology_cache()
         count = nested = 0
-        for facets in _all_complex_facets(5):
+        for facets in all_complex_facets(5):
             apex = facets[0]
             for f in facets:
                 apex &= f

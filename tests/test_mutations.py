@@ -48,6 +48,18 @@ MUTATIONS = [
      "contrib = contrib[::-1]",
      "contrib = contrib",
      f"{KERNELS}::test_complement_fold[5]"),
+    ("dual-table-degree-shifted", "betti.py",
+     "key = (off, j)",
+     "key = (off + 1, j)",
+     "tests/test_betti.py::TestDualIdealTable::test_fixtures"),
+    ("cone-test-on-every-family", "homology.py",
+     "if apex > 0:",
+     "if apex >= 0:",
+     "tests/test_betti.py::TestDimsCachedFamilies::test_examples"),
+    ("unclean-link-size-short-by-one", "criteria.py",
+     "max_unclean = mb + 1",
+     "max_unclean = mb",
+     "tests/test_criteria.py::TestCmT::test_d6_is_cm2_not_cm1"),
 ]
 
 
