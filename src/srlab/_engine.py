@@ -8,11 +8,12 @@ per theorem to digests (min CM_t, Serre violation, homology dims, the
 N_{2,.} threshold, Buchsbaum, full linearity) that come either from
 these engines or from the public modules.  No table gives depth: a
 Cohen-Macaulay complex has depth d, and the harness reads any other
-depth from the generic Hochster sum.  tests/test_harness.py
-compares the two providers field by field, tests/test_engine_kernels.py
-compares the kernels and tables with the generic route, and
-tests/test_orbits.py checks that every digest is invariant under
-relabeling the vertices.
+depth from the generic Hochster sum.  Link digests are
+``criteria.link_profile`` pairs, computed from GF(2) tables.
+tests/test_harness.py compares the two providers field by field,
+tests/test_engine_kernels.py compares the kernels and tables with the
+generic route, and tests/test_orbits.py checks that every digest is
+invariant under relabeling the vertices.
 
 Layout:
   LevelHom        GF(2) homology from per-cardinality face bitmaps, reduced
@@ -26,10 +27,10 @@ Layout:
   PureSpaceEngine digests of the pure complexes with d-subset facets on
                   [n], by facet-set mask: homology, and the link digest
                   from one packed fold over the vertex links.
-  LinkTables      (max unclean size, Serre violation) of every complex
-                  with k-subset facets on [m], by facet-set mask: each
-                  entry is a PureSpaceEngine digest over the tables one
-                  size down, read through the vertex-link fold.
+  LinkTables      the link_profile pair of every complex with k-subset
+                  facets on [m], by facet-set mask: each entry is a
+                  PureSpaceEngine digest over the tables one size down,
+                  read through the vertex-link fold.
   FlagTables      the least nonlinear step of I_{clique(G)} for every graph
                   G on w <= 6 labeled vertices, by edge-set mask: each
                   entry is the least of G's own Hochster term and its w
@@ -72,9 +73,8 @@ from math import comb, factorial
 from typing import Callable
 
 from ._bits import compress_map, remap, size_subsets
+from .criteria import NO_VIOLATION
 from .homology import pivot_rows_gf2
-
-_SERRE_NONE = 99  # "no Serre violation anywhere" (dimensions here are < 99)
 
 
 class EngineError(AssertionError):
@@ -458,12 +458,11 @@ def deck_key(n: int, k: int) -> Callable[[int], tuple[int, ...]]:
 
 
 class LinkTables:
-    """(max_unclean, serre_viol) for every complex with k-subset facets on [m].
+    """``criteria.link_profile`` of every complex with k-subset facets on [m].
 
-    Index = facet-set mask over size_subsets(m, k).  max_unclean is the
-    largest size of a face whose link has homology below its dimension
-    (-1 if none); serre_viol is the smallest degree violating a Serre
-    bound anywhere (=_SERRE_NONE if none); digest[s] is the pair.  Built
+    Index = facet-set mask over size_subsets(m, k); digest[s] is the pair
+    (largest size of an unclean face or -1, least Serre-violating degree
+    or NO_VIOLATION), computed from this module's GF(2) tables.  Built
     bottom-up: an entry is ``PureSpaceEngine(m, k).analyze_full``, which
     combines the complex's own homology with the digests of its vertex
     links, which live one table down.  Both digests depend only on the
@@ -478,16 +477,8 @@ class LinkTables:
         self.m = m
         self.k = k
         self.slots = size_subsets(m, k)
-        clean = (-1, _SERRE_NONE)
-        if k == 1:  # point sets: 0-dimensional, always clean everywhere
-            self.digest = [clean] * (1 << len(self.slots))
-            return
         eng = PureSpaceEngine(m, k)
-
-        def entry(s: int) -> tuple[int, int]:
-            t_cm, serre_viol, _ = eng.analyze_full(s)
-            return t_cm - 1, serre_viol
-        self.digest = _orbit_table(m, k, entry, clean)
+        self.digest = _orbit_table(m, k, lambda s: eng.analyze_full(s)[:2], (-1, NO_VIOLATION))
 
 
 _LINK_TABLES: dict[tuple[int, int], LinkTables] = {}
@@ -515,11 +506,11 @@ def flag_dims(gmask: int, n: int) -> tuple[int, ...]:
 def _own_step(dims: tuple[int, ...], n: int) -> int:
     """The least nonlinear step that W = [n] itself gives I_Delta, from the
     homology dims of Delta on [n]: n - deg - 2 for the top degree deg >= 1
-    with H~_deg != 0, _SERRE_NONE when there is none."""
+    with H~_deg != 0, NO_VIOLATION when there is none."""
     for deg in range(len(dims) - 2, 0, -1):
         if dims[deg + 1]:
             return n - deg - 2
-    return _SERRE_NONE
+    return NO_VIOLATION
 
 
 class FlagTables:
@@ -527,7 +518,7 @@ class FlagTables:
     by edge mask.
 
     step[e] is the least i with beta_{i,j}(I_{clique(G)}) != 0 for some
-    j != i + 2, and _SERRE_NONE when the resolution is linear.  By
+    j != i + 2, and NO_VIOLATION when the resolution is linear.  By
     Hochster's formula, beta_{i,W} = dim H~_{|W|-i-2} of the clique
     complex of G[W], so exactly the vertex sets W whose clique complex has
     homology in a degree deg >= 1 give such entries, at step
@@ -535,7 +526,7 @@ class FlagTables:
     entry is the least of G's own term (W = [w]) and the entries of its
     w cards in FlagTables(w - 1).  No clique complex on at most 3
     vertices has homology above degree 0, so those tables are all
-    _SERRE_NONE.  The step depends only on the isomorphism class, so one
+    NO_VIOLATION.  The step depends only on the isomorphism class, so one
     entry per S_w-orbit is computed (at orbit_reps(w, 2), at most 15
     slots for w <= 6) and every other entry copies its representative's.
     """
@@ -544,11 +535,11 @@ class FlagTables:
         self.w = w
         self.pair_slots = size_subsets(w, 2)
         if w <= 3:
-            self.step = [_SERRE_NONE] * (1 << len(self.pair_slots))
+            self.step = [NO_VIOLATION] * (1 << len(self.pair_slots))
             return
         cards = _card_step(w)
         self.step = _orbit_table(
-            w, 2, lambda e: min(cards(e), _own_step(flag_dims(e, w), w)), _SERRE_NONE)
+            w, 2, lambda e: min(cards(e), _own_step(flag_dims(e, w), w)), NO_VIOLATION)
 
 
 flag_tables = cache(FlagTables)
@@ -596,7 +587,7 @@ class PureSpaceEngine:
             self.lt = None
             self.link_fold = None
 
-    def link_digest(self, s: int, mb: int = -1, sv: int = _SERRE_NONE) -> tuple[int, int]:
+    def link_digest(self, s: int, mb: int = -1, sv: int = NO_VIOLATION) -> tuple[int, int]:
         """(max unclean size, Serre violation) over nonempty faces, folded
         into the given (mb, sv)."""
         if self.lt is None:
@@ -608,17 +599,18 @@ class PureSpaceEngine:
         return self.link_digest(s)[0] < 0
 
     def analyze_full(self, s: int) -> tuple[int, int, tuple[int, ...]]:
-        """(min_cm_t, serre_viol, homology dims) of the instance complex."""
+        """(max unclean size, Serre violation, homology dims) of the
+        instance complex: the ``criteria.link_profile`` pair, plus dims."""
         dims = self.lh.dims_from_levels(self.lh.closure(self.d, s))
         mb = -1
-        sv = _SERRE_NONE
+        sv = NO_VIOLATION
         for i in range(self.d - 1):  # below the top degree: the empty face is unclean
             if dims[i + 1]:
                 mb = 0
                 sv = i
                 break
         mb, sv = self.link_digest(s, mb, sv)
-        return mb + 1, sv, dims
+        return mb, sv, dims
 
 
 pure_space_engine = cache(PureSpaceEngine)
@@ -662,23 +654,22 @@ class Codim2Engine(PureSpaceEngine):
         t = self.full ^ x
         return fold.lo[t & FOLD_MASK] | fold.hi[t >> FOLD_BITS]
 
-    def ndp_threshold(self, gmask: int, dims_c: tuple[int, ...] | None) -> int:
+    def ndp_threshold(self, gmask: int, dims_c: tuple[int, ...]) -> int:
         """min t such that N_{2, d-t} holds for the dual's ideal.
 
         The dual of a pure codimension-2 complex is the clique complex of
         its 1-skeleton G (edge mask ``gmask``), so N_{2,.} fails first at
         the least nonlinear step of I_{clique(G)}: the least of G's own
         Hochster term and its n card entries (FlagTables).  The own term
-        reads the dual's homology directly; dims_c, when given, is
-        checked against it by Alexander duality.
+        reads the dual's homology directly; dims_c, the homology of the
+        complex, is checked against it by Alexander duality.
         """
         dims_dual = flag_dims(gmask, self.n)
-        if dims_c is not None:
-            _check_duality(dims_c, dims_dual, self.n)
+        _check_duality(dims_c, dims_dual, self.n)
         istar = min(self.card_step(gmask), _own_step(dims_dual, self.n))
         if istar < 1:
             raise EngineError(f"nonlinear Betti entry at homological step {istar} < 1")
-        if istar >= _SERRE_NONE:
+        if istar == NO_VIOLATION:
             return 0
         return max(0, self.d - istar)
 
@@ -691,16 +682,16 @@ class Codim2Engine(PureSpaceEngine):
         s_dual = self.dual_mask(e)
         if not s_dual:
             return None
-        t_cm, _, dims_dual = self.analyze_full(s_dual)
+        max_unclean, _, dims_dual = self.analyze_full(s_dual)
         if check_duality:
             _check_duality(flag_dims(e, self.n), dims_dual, self.n)
-        return t_cm
+        return max_unclean + 1
 
     def linearity_data(self, e: int) -> bool:
         """Whether I_{clique(G)} has a linear resolution: no card of G has a
         nonlinear step (FlagTables), and neither has G's own term."""
-        return (self.card_step(e) == _SERRE_NONE
-                and _own_step(flag_dims(e, self.n), self.n) == _SERRE_NONE)
+        return (self.card_step(e) == NO_VIOLATION
+                and _own_step(flag_dims(e, self.n), self.n) == NO_VIOLATION)
 
 
 codim2_engine = cache(Codim2Engine)

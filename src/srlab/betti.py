@@ -122,7 +122,7 @@ def dual_ideal_table(c: Complex, field: FieldSpec = GF2) -> BettiTable:
     simplex is refused, as ``hochster_betti`` refuses its void dual; n is
     capped by ``DEFAULT_SIZE_BOUND`` as there.
     """
-    if c.facet_masks == ((1 << c.n) - 1,):
+    if c == Complex.simplex(c.n):
         raise ValueError("the full simplex has a void Alexander dual, "
                          "which has no Stanley-Reisner ideal")
     if c.n > DEFAULT_SIZE_BOUND:

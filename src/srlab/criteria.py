@@ -14,7 +14,8 @@ it does.  Then
 The recursion below walks vertex links only (faces of size >= 1
 correspond to faces of vertex links), memoizing two numbers per shape:
 the largest size of an unclean face, and the smallest homological
-degree violating a Serre bound.  Conventions: the void and irrelevant
+degree violating a Serre bound.  The Ext profile reads link homology
+off ``betti.dual_ideal_table``.  Conventions: the void and irrelevant
 complexes are pure and Cohen-Macaulay; dim(empty face) = -1.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._bits import bits_of, compress_masks
+from .betti import dual_ideal_table, hochster_betti, homological_invariants
 from .complexes import Complex
 from .homology import GF2, FieldSpec, dims_cached
 
@@ -187,21 +189,18 @@ class ExtDimProfile:
 
 
 def ext_dim_profile(c: Complex, field: FieldSpec = GF2) -> ExtDimProfile:
-    """Ext dimensions from the full face scan (proper complexes only)."""
+    """Ext dimensions of a proper complex, with the link homology read off
+    the Betti table of the Alexander dual's ideal: entry (i, j) sums
+    dim H~_{i-1}(lk F) over the faces F of size n - j.  The full simplex,
+    whose dual is void, has the one term (0, 0), from its top face."""
     if c.kind != "proper":
         raise ValueError("the Ext profile needs a proper complex")
-    d = (c.dim or 0) + 1
+    d = c.dim + 1
     dimext: dict[int, int | None] = {i: None for i in range(1, d + 1)}
-    for fmask in c.face_masks():
-        size = fmask.bit_count()
-        sub = tuple(g ^ fmask for g in c.facet_masks if g & fmask == fmask)
-        dims = dims_cached(sub, field)
-        for i in range(1, d + 1):
-            deg = i - size - 1
-            if -1 <= deg <= len(dims) - 2 and dims[deg + 1]:
-                cur = dimext[i]
-                if cur is None or size > cur:
-                    dimext[i] = size
+    terms = [(0, 0)] if c == Complex.simplex(c.n) else dual_ideal_table(c, field).entries
+    for i, j in terms:
+        size = c.n - j  # some face F of this size has H~_{i-1}(lk F) != 0
+        dimext[i + size] = max(size, dimext[i + size] or 0)
     return ExtDimProfile(n=c.n, d=d, dimext=dimext)
 
 
@@ -242,8 +241,6 @@ class PropertyReport:
 
 def property_report(c: Complex, field: FieldSpec = GF2) -> PropertyReport:
     """Evaluate the whole predicate family plus depth on one complex."""
-    from .betti import homological_invariants, hochster_betti
-
     if c.is_void:
         raise ValueError("no property report for the void complex")
     if c.kind == "proper":

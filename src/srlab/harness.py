@@ -52,6 +52,7 @@ from .criteria import (
     cm_t,
     ext_dim_profile,
     is_buchsbaum,
+    link_profile,
     max_serre,
     min_cm_t,
     min_singularity_bound,
@@ -102,7 +103,7 @@ class SearchSpace:
     @property
     def slot_size(self) -> int:
         """Vertices per slot: 2 for graph edges, d for facets."""
-        return 2 if self.kind == "graph" else int(self.d)
+        return 2 if self.kind == "graph" else self.d
 
     def slot_masks(self) -> list[int]:
         return size_subsets(self.n, self.slot_size)
@@ -110,7 +111,7 @@ class SearchSpace:
     def slot_count(self) -> int:
         if self.kind == "fixture":
             return 0
-        return comb(self.n, 2) if self.kind == "graph" else comb(self.n, int(self.d))
+        return comb(self.n, 2) if self.kind == "graph" else comb(self.n, self.d)
 
     def validate(self) -> None:
         if self.kind == "fixture":
@@ -118,8 +119,10 @@ class SearchSpace:
                 raise HarnessError(f"no complex fixture named {self.fixture!r} "
                                    f"(available: {', '.join(sorted(COMPLEXES))})")
             return
+        if type(self.n) is not int or self.n < 0:  # a bool is no vertex count
+            raise HarnessError(f"vertex count must be an int >= 0, not {self.n!r}")
         if self.kind == "complex":
-            if isinstance(self.d, bool) or not isinstance(self.d, int):
+            if type(self.d) is not int:
                 raise HarnessError(f"facet size must be an int or 'graphs', not {self.d!r}")
             if not 1 <= self.d <= self.n:
                 raise HarnessError(f"facet size {self.d} out of range for n={self.n}")
@@ -131,8 +134,9 @@ class SearchSpace:
                 f"slots; space has {self.slot_count()}"
             )
         if self.mode == "sample":
-            if self.seed is None or self.count <= 0:
-                raise HarnessError("sample mode needs a seed and a positive count")
+            if type(self.seed) is not int or type(self.count) is not int or self.count < 1:
+                raise HarnessError(f"sample mode needs an int seed and an int count >= 1, "
+                                   f"not seed={self.seed!r}, count={self.count!r}")
             if self.slot_count() > SAMPLE_SLOT_LIMIT:
                 raise HarnessError(
                     f"sampling needs at most {SAMPLE_SLOT_LIMIT} slots; "
@@ -253,12 +257,6 @@ def _check_thm_er(c: Complex, field: FieldSpec) -> list[str]:
     return out
 
 
-def _is_full_simplex(c: Complex) -> bool:
-    """Whether c is the full simplex on [n], the one complex whose
-    Alexander dual is void."""
-    return c.facet_masks == ((1 << c.n) - 1,)
-
-
 def _check_thm_main(c: Complex, field: FieldSpec) -> list[str]:
     """CM_t of Delta gives N_{n-d, 2d-n-t+2} of the dual's ideal.
 
@@ -267,7 +265,7 @@ def _check_thm_main(c: Complex, field: FieldSpec) -> list[str]:
     those links, not modulo Alexander duality plus Hochster's formula
     on the restrictions of a built dual.
     """
-    if _is_full_simplex(c):
+    if c == Complex.simplex(c.n):  # its Alexander dual is void
         return []
     d = _dim_ring(c)
     dtbl = dual_ideal_table(c, field)
@@ -301,7 +299,7 @@ def _check_yanagawa(c: Complex, field: FieldSpec) -> list[str]:
     Delta: the check holds modulo Hochster's dual formula on those links,
     not modulo Alexander duality plus Hochster's formula on a built dual.
     """
-    if _is_full_simplex(c):
+    if c == Complex.simplex(c.n):
         return []
     d = _dim_ring(c)
     dtbl = dual_ideal_table(c, field)
@@ -335,7 +333,7 @@ def _check_subadd(c: Complex, field: FieldSpec) -> list[str]:
     v = check_subadditivity(hochster_betti(c, field, "ideal"))
     if v:
         out.append(f"subadditivity violations on I_Delta: {v}")
-    if not _is_full_simplex(c):
+    if c != Complex.simplex(c.n):
         v = check_subadditivity(dual_ideal_table(c, field))
         if v:
             out.append(f"subadditivity violations on I_dual: {v}")
@@ -424,6 +422,8 @@ class ComplexDigest:
     premise (Buchsbaum) computes nothing past it.  A threshold is the
     least t in 0..d at which its property holds; CM_t, N_{2,d-t}, S_{d-t}
     and the chord condition at d-t+2 then hold for every larger t too.
+    Both providers read the S_{d-t} threshold off ``serre_viol``, the
+    least Serre-violating degree of ``criteria.link_profile``.
     ``dims`` are reduced homology dims from degree -1; ``dual_adj`` is the
     adjacency of the Alexander dual's 1-skeleton.  Neither it nor the
     N_{2,p} threshold builds the dual: the threshold reads
@@ -437,8 +437,9 @@ class ComplexDigest:
         self.d = _dim_ring(c)
 
     min_cm_t = _lazy(lambda dg: min_cm_t(dg.c, dg.field))  # None when not pure
-    serre_threshold = _lazy(lambda dg: _threshold(
-        partial(satisfies_serre, dg.c, field=dg.field), dg.d))
+    serre_viol = _lazy(lambda dg: link_profile(dg.c.facet_masks, dg.field)[1])
+    # S_{d-t} holds iff d - t <= 1 or serre_viol >= d - t - 1
+    serre_threshold = _lazy(lambda dg: max(0, dg.d - 1 - dg.serre_viol))
     dims = _lazy(lambda dg: reduced_homology(dg.c, dg.field).dims)
     ndp_threshold = _lazy(lambda dg: _threshold(
         partial(check_ndp, dual_ideal_table(dg.c, dg.field), 2), dg.d))
@@ -466,8 +467,8 @@ class _EngineComplexDigest(ComplexDigest):
 
     c = _lazy(lambda dg: dg.decode(dg.s))
     analysis = _lazy(lambda dg: dg.eng.analyze_full(dg.s))
-    min_cm_t = _lazy(lambda dg: dg.analysis[0])
-    serre_threshold = _lazy(lambda dg: max(0, dg.d - 1 - dg.analysis[1]))
+    min_cm_t = _lazy(lambda dg: dg.analysis[0] + 1)
+    serre_viol = _lazy(lambda dg: dg.analysis[1])
     dims = _lazy(lambda dg: dg.analysis[2])
     dual_edges = _lazy(lambda dg: dg.eng.dual_mask(dg.s))
     ndp_threshold = _lazy(lambda dg: dg.eng.ndp_threshold(dg.dual_edges, dg.dims))
@@ -525,7 +526,7 @@ def _engine_digests(hook: str, space: SearchSpace, decode: Callable[[int], Compl
         # thm-main2 checks Alexander duality on every dual it analyzes
         return partial(_EngineGraphDigest, _engine.codim2_engine(space.n), hook == "main2")
     if hook == "corbk":
-        eng = _engine.pure_space_engine(space.n, int(space.d))
+        eng = _engine.pure_space_engine(space.n, space.d)
     else:
         eng = _engine.codim2_engine(space.n)
     return partial(_EngineComplexDigest, eng, decode)
@@ -779,8 +780,8 @@ def _engine_eligible(td: TheoremDef, space: SearchSpace, field: FieldSpec) -> bo
     if td.engine_hook in ("main2", "corlinear", "froberg"):
         return space.kind == "graph" and 3 <= space.n <= 7 and space.cover
     if td.engine_hook == "corbk":
-        return (space.kind == "complex" and int(space.d) >= 1
-                and space.n <= 7 and comb(space.n - 1, int(space.d) - 1) <= 15)
+        return (space.kind == "complex" and space.d >= 1
+                and space.n <= 7 and comb(space.n - 1, space.d - 1) <= 15)
     return False
 
 

@@ -15,6 +15,7 @@ import pytest
 from srlab import Complex, Graph
 from srlab._bits import antichain
 from srlab.fixtures import fixture_complex, fixture_graph
+from srlab.homology import FieldSpec, dims_over_field
 
 
 @pytest.fixture
@@ -95,6 +96,24 @@ def brute_minimal_nonfaces(c: Complex) -> list[tuple[int, ...]]:
                 labels.append(b.bit_length())
             out.append(tuple(labels))
     return sorted(out, key=lambda t: (len(t), t))
+
+
+def ext_dimext_by_face_scan(c: Complex, field: FieldSpec) -> dict[int, int | None]:
+    """dimext[i] = max |F| over faces F with H~_{i-|F|-1}(lk F) != 0, for
+    i = 1..d (None when no face qualifies): every subset of [n] is tested
+    for being a face, and each face's link is eliminated uncached."""
+    d = c.dim + 1
+    dimext: dict[int, int | None] = {i: None for i in range(1, d + 1)}
+    for f in range(1 << c.n):
+        if not c.has_face_mask(f):
+            continue
+        size = f.bit_count()
+        dims = dims_over_field(tuple(g ^ f for g in c.facet_masks if g & f == f), field)
+        for deg, value in enumerate(dims, start=-1):
+            i = deg + size + 1
+            if value and 1 <= i <= d and (dimext[i] is None or size > dimext[i]):
+                dimext[i] = size
+    return dimext
 
 
 def all_complex_facets(n: int):

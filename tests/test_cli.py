@@ -91,7 +91,8 @@ class TestPayloads:
         p = tmp_path / "dual_out"
         p.write_text(out)
         code, out2, _ = run(capsys, "dual", str(p))
-        base = open(files["R6"]).read()
+        with open(files["R6"]) as fh:
+            base = fh.read()
         from srlab import parse_complex
         assert parse_complex(out2) == parse_complex(base)
 

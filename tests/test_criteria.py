@@ -9,6 +9,7 @@ from srlab import (
     GF2,
     QQ,
     Complex,
+    FieldSpec,
     alexander_dual,
     cm_t,
     cone,
@@ -27,7 +28,14 @@ from srlab import (
     is_cycle_graph,
 )
 
-from conftest import all_pure_complexes, cycle_complex, gamma_complex
+from conftest import (
+    all_complex_facets,
+    all_pure_complexes,
+    cycle_complex,
+    ext_dimext_by_face_scan,
+    gamma_complex,
+    seeded_complexes,
+)
 from test_complexes import small_complexes
 
 
@@ -166,6 +174,18 @@ class TestExtProfile:
     def test_refuses_degenerate(self):
         with pytest.raises(ValueError):
             ext_dim_profile(Complex.irrelevant(2))
+
+    @pytest.mark.parametrize("field", [GF2, FieldSpec.gf(3), QQ], ids=str)
+    def test_dual_table_matches_face_scan(self, field):
+        """The profile read off the dual's Betti table against the face
+        scan, on every complex with n <= 4 (full simplices included) and
+        on seeded complexes with n = 5..7."""
+        complexes = [Complex(n, facets) for n in range(1, 5) for facets in all_complex_facets(n)]
+        complexes += [c for n in range(5, 8) for c in seeded_complexes(n, 40, seed=70 + n)]
+        proper = [c for c in complexes if c.kind == "proper"]
+        assert Complex.simplex(4) in proper and len(proper) > 250
+        for c in proper:
+            assert ext_dim_profile(c, field).dimext == ext_dimext_by_face_scan(c, field), c
 
     @settings(max_examples=30, deadline=None)
     @given(small_complexes(max_n=5))

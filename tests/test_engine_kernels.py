@@ -26,7 +26,6 @@ import pytest
 from srlab import GF2, SearchSpace, enumerate_graphs, enumerate_pure_complexes
 from srlab import _engine
 from srlab._engine import (
-    _SERRE_NONE,
     codim2_engine,
     cover_filter,
     deck_key,
@@ -155,10 +154,9 @@ def test_complement_fold(n):
 def test_codim2_analyze_matches_generic(n):
     eng = codim2_engine(n)
     for s, c in pure_instances(n, n - 2, cover=True):
-        t_cm, serre_viol, dims = eng.analyze_full(s)
-        generic_viol = link_profile(c.facet_masks, GF2)[1]
-        assert t_cm == min_cm_t(c, GF2), (n, s)
-        assert serre_viol == (_SERRE_NONE if generic_viol == NO_VIOLATION else generic_viol), (n, s)
+        max_unclean, serre_viol, dims = eng.analyze_full(s)
+        assert max_unclean + 1 == min_cm_t(c, GF2), (n, s)
+        assert serre_viol == link_profile(c.facet_masks, GF2)[1], (n, s)
         assert dims == reduced_homology(c, GF2).dims == _dims_by_elimination(c.facet_masks, 2), (
             n, s)
 
@@ -235,9 +233,7 @@ def _check_link_table(m: int, k: int, every: bool) -> None:
     lt = link_tables(m, k)
     for s in _table_entries(len(lt.slots), orbit_reps(m, k), f"link:{m}:{k}", every):
         facets = tuple(f for i, f in enumerate(lt.slots) if s >> i & 1)
-        max_unclean, viol = link_profile(facets, GF2)
-        expected = (max_unclean, _SERRE_NONE if viol == NO_VIOLATION else viol)
-        assert lt.digest[s] == expected, (m, k, s)
+        assert lt.digest[s] == link_profile(facets, GF2), (m, k, s)
 
 
 def _check_flag_table(w: int, every: bool) -> None:
@@ -250,7 +246,7 @@ def _check_flag_table(w: int, every: bool) -> None:
                  for i, p in enumerate(ft.pair_slots) if e >> i & 1]
         table = hochster_betti(clique_complex(Graph(w, edges)), GF2, "ideal")
         expected = min((i for (i, j), v in table.entries.items() if v and j != i + 2),
-                       default=_SERRE_NONE)
+                       default=NO_VIOLATION)
         assert ft.step[e] == expected, (w, e)
 
 

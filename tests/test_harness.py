@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from functools import reduce
 from itertools import count, islice
 from math import comb
@@ -15,13 +16,16 @@ import pytest
 
 from srlab import (
     Complex,
+    FieldSpec,
     GF2,
     Graph,
+    QQ,
     SearchSpace,
     alexander_dual,
     enumerate_graphs,
     enumerate_pure_complexes,
     replay_counterexample,
+    satisfies_serre,
     skeleton_graph,
     theorem_ids,
     verify_theorem,
@@ -115,6 +119,30 @@ class TestSpaces:
         with pytest.raises(HarnessError, match="facet size must be an int"):
             sp.validate()
         with pytest.raises(HarnessError, match="facet size must be an int"):
+            verify_theorem("thm-er", [sp])
+
+    @pytest.mark.parametrize("space", [
+        SearchSpace(n=4.5, d=2),
+        SearchSpace(n=-3, d="graphs"),
+        SearchSpace(n=True, d="graphs"),
+        SearchSpace(n="4", d=2),
+    ], ids=["float", "negative", "bool", "str"])
+    def test_vertex_count_must_be_an_int(self, space):
+        tid = "thm-main2" if space.kind == "graph" else "thm-er"
+        with pytest.raises(HarnessError, match="vertex count must be an int"):
+            space.validate()
+        with pytest.raises(HarnessError, match="vertex count must be an int"):
+            verify_theorem(tid, [space])
+
+    @pytest.mark.parametrize("count, seed", [
+        (2.5, 1), (True, 1), (0, 1), ("3", 1), (3, "x"), (3, 1.5), (3, True), (3, None),
+    ])
+    def test_sample_count_and_seed_must_be_ints(self, count, seed):
+        # refused before the count is echoed in a run's JSON or the seed reaches random.Random
+        sp = SearchSpace(n=4, d=2, mode="sample", count=count, seed=seed)
+        with pytest.raises(HarnessError, match="sample mode needs an int seed"):
+            sp.validate()
+        with pytest.raises(HarnessError, match="sample mode needs an int seed"):
             verify_theorem("thm-er", [sp])
 
     @pytest.mark.parametrize("n", [0, 1])
@@ -581,6 +609,43 @@ def test_dual_adj_without_the_dual(n):
     for facets in [()] + list(all_complex_facets(n)):
         c = Complex(n, facets, _trusted=True)
         assert hmod._dual_adj(c) == skeleton_graph(alexander_dual(c)).adj, facets
+
+
+def _serre_threshold_by_loop(c: Complex, field: FieldSpec) -> int:
+    """The least t in 0..d with S_{d-t}, by one satisfies_serre call per t."""
+    d = c.dim + 1
+    return next(t for t in range(d + 1) if satisfies_serre(c, d - t, field))
+
+
+@pytest.mark.parametrize("field", [GF2, FieldSpec.gf(3), QQ], ids=str)
+def test_serre_threshold_matches_the_loop(field):
+    """The one formula max(0, d - 1 - serre_viol) against the loop over
+    satisfies_serre, on every covered pure complex with n <= 5."""
+    thresholds = Counter()
+    for n in range(1, 6):
+        for d in range(1, n + 1):
+            for c in enumerate_pure_complexes(SearchSpace(n=n, d=d)):
+                t = ComplexDigest(c, field).serre_threshold
+                assert t == _serre_threshold_by_loop(c, field), (field, c)
+                thresholds[t] += 1
+    assert sorted(thresholds) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_engine_serre_threshold_matches_the_loop(n):
+    """The engine digest's threshold against the loop, on every covered
+    codimension-2 mask for n <= 5 and every covered class at n = 6."""
+    space = SearchSpace(n=n, d=n - 2)
+    keep = hmod._keep(space)
+    decode = hmod._decoder(space)
+    engine = hmod._engine_digests("topin", space, decode)
+    if n <= 5:
+        masks = list(space.iter_masks(keep))
+    else:
+        masks = [r for r, _ in hmod._engine.orbit_classes(n, n - 2)[1:] if keep(r)]
+    for s in masks:
+        assert engine(s).serre_threshold == _serre_threshold_by_loop(decode(s), GF2), (n, s)
+    assert masks
 
 
 #: digest fields per kind of space the engine takes

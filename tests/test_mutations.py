@@ -21,6 +21,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 KERNELS = "tests/test_engine_kernels.py"
+HARNESS = "tests/test_harness.py"
 
 # (case id, file under srlab/, old snippet, its replacement, the quick test that must fail)
 MUTATIONS = [
@@ -37,7 +38,7 @@ MUTATIONS = [
      "istar = self.card_step(gmask)",
      f"{KERNELS}::test_ndp_threshold_matches_dual_ideal_betti[5]"),
     ("linearity-card-term-dropped", "_engine.py",
-     "return (self.card_step(e) == _SERRE_NONE\n                and ",
+     "return (self.card_step(e) == NO_VIOLATION\n                and ",
      "return (",
      f"{KERNELS}::test_linearity_data_matches_clique_ideal_betti[5]"),
     ("cards-read-at-a-wrong-offset", "_engine.py",
@@ -60,6 +61,18 @@ MUTATIONS = [
      "max_unclean = mb + 1",
      "max_unclean = mb",
      "tests/test_criteria.py::TestCmT::test_d6_is_cm2_not_cm1"),
+    ("ext-profile-index-shifted", "criteria.py",
+     "dimext[i + size] = max(",
+     "dimext[i + size - 1] = max(",
+     "tests/test_criteria.py::TestExtProfile::test_dual_table_matches_face_scan[GF(2)]"),
+    ("orbit-counted-once", "harness.py",
+     "checked += size",
+     "checked += 1",
+     f"{HARNESS}::TestOrbitMemo::test_checks_fall_to_orbit_count"),
+    ("serre-threshold-off-by-one", "harness.py",
+     "dg.d - 1 - dg.serre_viol",
+     "dg.d - dg.serre_viol",
+     f"{HARNESS}::test_serre_threshold_matches_the_loop[GF(2)]"),
 ]
 
 
