@@ -5,11 +5,9 @@ memoizes their answers over whole enumeration families so the labeled
 exhaustive searches (millions of instances) finish in seconds on one
 core.  It decides no theorem: the harness applies one clause function
 per theorem to digests (min CM_t, Serre violation, homology dims, the
-N_{2,.} threshold, Buchsbaum, full linearity) that come either from
-these engines or from the public modules.  No table gives depth: a
-Cohen-Macaulay complex has depth d, and the harness reads any other
-depth from the generic Hochster sum.  Link digests are
-``criteria.link_profile`` pairs, computed from GF(2) tables.
+N_{2,.} threshold, Buchsbaum, depth, full linearity) that come either
+from these engines or from the public modules.  Link digests are
+``criteria.link_profile`` triples, computed from GF(2) tables.
 tests/test_harness.py compares the two providers field by field,
 tests/test_engine_kernels.py compares the kernels and tables with the
 generic route, and tests/test_orbits.py checks that every digest is
@@ -27,7 +25,7 @@ Layout:
   PureSpaceEngine digests of the pure complexes with d-subset facets on
                   [n], by facet-set mask: homology, and the link digest
                   from one packed fold over the vertex links.
-  LinkTables      the link_profile pair of every complex with k-subset
+  LinkTables      the link_profile triple of every complex with k-subset
                   facets on [m], by facet-set mask: each entry is a
                   PureSpaceEngine digest over the tables one size down,
                   read through the vertex-link fold.
@@ -297,23 +295,25 @@ def _vertex_contrib(slots: list[int], m: int, child_slots: list[int], link: bool
     return contrib
 
 
-def _combine_links(child: "LinkTables", packed: int, mb: int, sv: int) -> tuple[int, int]:
-    """Fold the child digests of the links packed by a vertex-link fold
-    into (max unclean size, Serre violation): a face unclean in the link
-    of a vertex is one larger in the complex."""
+def _combine_links(child: "LinkTables", packed: int, mb: int, sv: int, dp: int
+                   ) -> tuple[int, int, int]:
+    """Fold the digests of the non-CM links that a vertex-link fold packs
+    (an absent vertex packs the clean void link) into (max unclean size,
+    Serre violation, depth): a link's face and depth term grow by one here."""
     width = len(child.slots)
     full = (1 << width) - 1
     digest = child.digest
     while packed:
-        lm = packed & full
+        c, v, p = digest[packed & full]
         packed >>= width
-        if lm:
-            c, v = digest[lm]
-            if c >= 0 and c + 1 > mb:
+        if c >= 0:
+            if c + 1 > mb:
                 mb = c + 1
             if v < sv:
                 sv = v
-    return mb, sv
+            if p + 1 < dp:
+                dp = p + 1
+    return mb, sv, dp
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +460,12 @@ def deck_key(n: int, k: int) -> Callable[[int], tuple[int, ...]]:
 class LinkTables:
     """``criteria.link_profile`` of every complex with k-subset facets on [m].
 
-    Index = facet-set mask over size_subsets(m, k); digest[s] is the pair
+    Index = facet-set mask over size_subsets(m, k); digest[s] is the triple
     (largest size of an unclean face or -1, least Serre-violating degree
-    or NO_VIOLATION), computed from this module's GF(2) tables.  Built
-    bottom-up: an entry is ``PureSpaceEngine(m, k).analyze_full``, which
-    combines the complex's own homology with the digests of its vertex
-    links, which live one table down.  Both digests depend only on the
+    or NO_VIOLATION, depth), computed from this module's GF(2) tables.
+    Built bottom-up: an entry is ``PureSpaceEngine(m, k).analyze_full``,
+    which combines the complex's own homology with the digests of its
+    vertex links, which live one table down.  The digests depend only on the
     isomorphism class, so one entry per S_m-orbit is computed (at
     orbit_reps(m, k)) and every other entry copies its representative's;
     the engines need at most 15 slots here.
@@ -478,7 +478,8 @@ class LinkTables:
         self.k = k
         self.slots = size_subsets(m, k)
         eng = PureSpaceEngine(m, k)
-        self.digest = _orbit_table(m, k, lambda s: eng.analyze_full(s)[:2], (-1, NO_VIOLATION))
+        self.digest = _orbit_table(m, k, lambda s: eng.analyze_full(s)[:3],
+                                   (-1, NO_VIOLATION, NO_VIOLATION))
 
 
 _LINK_TABLES: dict[tuple[int, int], LinkTables] = {}
@@ -587,20 +588,24 @@ class PureSpaceEngine:
             self.lt = None
             self.link_fold = None
 
-    def link_digest(self, s: int, mb: int = -1, sv: int = NO_VIOLATION) -> tuple[int, int]:
-        """(max unclean size, Serre violation) over nonempty faces, folded
-        into the given (mb, sv)."""
-        if self.lt is None:
-            return mb, sv
-        return _combine_links(self.lt, self.link_fold.value(s), mb, sv)
+    def link_digest(self, s: int, mb: int = -1, sv: int = NO_VIOLATION, dp: int = NO_VIOLATION
+                    ) -> tuple[int, int, int]:
+        """(max unclean size, Serre violation, depth) over nonempty faces, folded
+        into the given (mb, sv, dp); a Cohen-Macaulay vertex link adds only the
+        depth term d, which no depth exceeds, so d caps dp."""
+        if dp > self.d:
+            dp = self.d
+        if self.lt is None:  # every vertex link is irrelevant: Cohen-Macaulay
+            return mb, sv, dp
+        return _combine_links(self.lt, self.link_fold.value(s), mb, sv, dp)
 
     def is_buchsbaum(self, s: int) -> bool:
         """CM_1: every vertex link is Cohen-Macaulay."""
         return self.link_digest(s)[0] < 0
 
-    def analyze_full(self, s: int) -> tuple[int, int, tuple[int, ...]]:
-        """(max unclean size, Serre violation, homology dims) of the
-        instance complex: the ``criteria.link_profile`` pair, plus dims."""
+    def analyze_full(self, s: int) -> tuple[int, int, int, tuple[int, ...]]:
+        """(max unclean size, Serre violation, depth, homology dims) of the
+        instance complex: the ``criteria.link_profile`` triple, plus dims."""
         dims = self.lh.dims_from_levels(self.lh.closure(self.d, s))
         mb = -1
         sv = NO_VIOLATION
@@ -609,8 +614,9 @@ class PureSpaceEngine:
                 mb = 0
                 sv = i
                 break
-        mb, sv = self.link_digest(s, mb, sv)
-        return mb, sv, dims
+        # the empty face's depth term: d caps it from the top degree up
+        mb, sv, dp = self.link_digest(s, mb, sv, sv + 1)
+        return mb, sv, dp, dims
 
 
 pure_space_engine = cache(PureSpaceEngine)
@@ -682,7 +688,7 @@ class Codim2Engine(PureSpaceEngine):
         s_dual = self.dual_mask(e)
         if not s_dual:
             return None
-        max_unclean, _, dims_dual = self.analyze_full(s_dual)
+        max_unclean, _, _, dims_dual = self.analyze_full(s_dual)
         if check_duality:
             _check_duality(flag_dims(e, self.n), dims_dual, self.n)
         return max_unclean + 1

@@ -54,10 +54,6 @@ class BettiTable:
     def projdim(self) -> int:
         return max((i for (i, _) in self.entries), default=0)
 
-    def row_max_degree(self, i: int) -> int | None:
-        degs = [j for (ii, j) in self.entries if ii == i]
-        return max(degs) if degs else None
-
 
 @dataclass(frozen=True)
 class HomologicalInvariants:

@@ -104,10 +104,6 @@ class Complex:
         """Facets as sorted label tuples, in canonical (sorted-mask) order."""
         return [labels_of(m) for m in self.facet_masks]
 
-    def has_face(self, face: Iterable[int]) -> bool:
-        m = mask_of(face)
-        return self.has_face_mask(m)
-
     def has_face_mask(self, m: int) -> bool:
         return any(m & f == m for f in self.facet_masks)
 

@@ -12,10 +12,11 @@ it does.  Then
     i < min(r-1, dim link F).
 
 The recursion below walks vertex links only (faces of size >= 1
-correspond to faces of vertex links), memoizing two numbers per shape:
-the largest size of an unclean face, and the smallest homological
-degree violating a Serre bound.  The Ext profile reads link homology
-off ``betti.dual_ideal_table``.  Conventions: the void and irrelevant
+correspond to faces of vertex links), memoizing three numbers per shape:
+the largest size of an unclean face, the smallest homological degree
+violating a Serre bound, and the depth (Hochster's local-cohomology
+formula).  The Ext profile reads link homology off
+``betti.dual_ideal_table``.  Conventions: the void and irrelevant
 complexes are pure and Cohen-Macaulay; dim(empty face) = -1.
 """
 
@@ -24,14 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._bits import bits_of, compress_masks
-from .betti import dual_ideal_table, hochster_betti, homological_invariants
+from .betti import DEFAULT_SIZE_BOUND, dual_ideal_table
 from .complexes import Complex
 from .homology import GF2, FieldSpec, dims_cached
 
 #: sentinel for "no Serre violation at any face" (plays nicely with min()).
 NO_VIOLATION = 1 << 30
 
-_PROFILE_CACHE: dict[tuple, tuple[int, int]] = {}
+_PROFILE_CACHE: dict[tuple, tuple[int, int, int]] = {}
 _PROFILE_CACHE_LIMIT = 400_000
 
 
@@ -39,12 +40,13 @@ def clear_profile_cache() -> None:
     _PROFILE_CACHE.clear()
 
 
-def link_profile(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, int]:
-    """(max_unclean, serre_viol) for the complex generated by ``facets``.
+def link_profile(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, int, int]:
+    """(max_unclean, serre_viol, depth) for the complex generated by ``facets``.
 
     max_unclean: largest |F| over unclean faces F, or -1 if all clean.
     serre_viol: min over faces F of the smallest i < dim(link F) with
     H~_i(link F) != 0, or NO_VIOLATION.
+    depth: the least |F| + 1 + i over faces F with H~_i(link F) != 0.
 
     ``facets`` must be a nonempty antichain ((0,) for irrelevant).
     """
@@ -56,34 +58,37 @@ def link_profile(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, int]:
 
     dims = dims_cached(canon, field)
     top = len(dims) - 2  # = dim of the complex
-    viol0 = NO_VIOLATION
-    for i in range(top):
-        if dims[i + 1]:
-            viol0 = i
+    low = NO_VIOLATION  # the least degree i >= -1 with H~_i != 0
+    for i, h in enumerate(dims):
+        if h:
+            low = i - 1
             break
-    max_unclean = 0 if viol0 != NO_VIOLATION else -1
-    serre_viol = viol0
+    # below the top degree, the empty face is unclean
+    max_unclean, serre_viol = (0, low) if low < top else (-1, NO_VIOLATION)
+    depth = low + 1  # the empty face's term
 
     occupied = 0
     for f in canon:
         occupied |= f
     for b in bits_of(occupied):
         sub = tuple(f ^ b for f in canon if f & b)
-        mb, sv = link_profile(sub, field)
+        mb, sv, dl = link_profile(sub, field)
         if mb >= 0 and mb + 1 > max_unclean:
             max_unclean = mb + 1
         if sv < serre_viol:
             serre_viol = sv
+        if dl + 1 < depth:
+            depth = dl + 1
 
-    result = (max_unclean, serre_viol)
+    result = (max_unclean, serre_viol, depth)
     if len(_PROFILE_CACHE) < _PROFILE_CACHE_LIMIT:
         _PROFILE_CACHE[key] = result
     return result
 
 
-def _profile(c: Complex, field: FieldSpec) -> tuple[int, int]:
+def _profile(c: Complex, field: FieldSpec) -> tuple[int, int, int]:
     if c.is_void:
-        return (-1, NO_VIOLATION)
+        return (-1, NO_VIOLATION, NO_VIOLATION)
     return link_profile(c.facet_masks, field)
 
 
@@ -240,14 +245,11 @@ class PropertyReport:
 
 
 def property_report(c: Complex, field: FieldSpec = GF2) -> PropertyReport:
-    """Evaluate the whole predicate family plus depth on one complex."""
+    """The whole predicate family plus depth of one complex (n <= DEFAULT_SIZE_BOUND)."""
     if c.is_void:
         raise ValueError("no property report for the void complex")
-    if c.kind == "proper":
-        inv = homological_invariants(hochster_betti(c, field, "ring"))
-        depth, dim_ring = inv.depth, inv.dim_ring
-    else:  # irrelevant: K[Delta] = K
-        depth, dim_ring = 0, 0
+    if c.n > DEFAULT_SIZE_BOUND:
+        raise ValueError(f"ambient size {c.n} exceeds bound {DEFAULT_SIZE_BOUND}")
     return PropertyReport(
         n=c.n,
         pure=c.is_pure,
@@ -256,8 +258,8 @@ def property_report(c: Complex, field: FieldSpec = GF2) -> PropertyReport:
         buchsbaum=is_buchsbaum(c, field),
         max_serre=max_serre(c, field),
         sing_dim_lt=min_singularity_bound(c, field),
-        depth=depth,
-        dim_ring=dim_ring,
+        depth=_profile(c, field)[2],
+        dim_ring=c.dim + 1,
         field=str(field),
     )
 

@@ -45,7 +45,6 @@ from .betti import (
     check_subadditivity,
     dual_ideal_table,
     hochster_betti,
-    homological_invariants,
 )
 from .complexes import Complex, alexander_dual, barycentric_subdivision
 from .criteria import (
@@ -277,13 +276,15 @@ def _check_thm_main(c: Complex, field: FieldSpec) -> list[str]:
 
 
 def _check_cor_yan(c: Complex, field: FieldSpec) -> list[str]:
+    """CM_t gives S_{2d-n-t+2}, and Buchsbaum depth >= min(2d-n+1, d); depth is
+    read off link homology, so modulo Hochster's local-cohomology formula."""
     d = _dim_ring(c)
     out = []
     for t in range(0, d + 1):
         if cm_t(c, t, field) and not satisfies_serre(c, 2 * d - c.n - t + 2, field):
             out.append(f"CM_{t} but S_{2 * d - c.n - t + 2} fails")
     if is_buchsbaum(c, field):
-        depth = homological_invariants(hochster_betti(c, field, "ring")).depth
+        depth = link_profile(c.facet_masks, field)[2]
         # the Serre bound gives depth >= min(r, dim); the cap at d only
         # bites for the full simplex (codimension 0)
         bound = min(2 * d - c.n + 1, d)
@@ -422,8 +423,9 @@ class ComplexDigest:
     premise (Buchsbaum) computes nothing past it.  A threshold is the
     least t in 0..d at which its property holds; CM_t, N_{2,d-t}, S_{d-t}
     and the chord condition at d-t+2 then hold for every larger t too.
-    Both providers read the S_{d-t} threshold off ``serre_viol``, the
-    least Serre-violating degree of ``criteria.link_profile``.
+    Both providers read ``serre_viol`` (the least Serre-violating degree,
+    which gives the S_{d-t} threshold) and ``depth`` off the
+    ``criteria.link_profile`` triple.
     ``dims`` are reduced homology dims from degree -1; ``dual_adj`` is the
     adjacency of the Alexander dual's 1-skeleton.  Neither it nor the
     N_{2,p} threshold builds the dual: the threshold reads
@@ -437,7 +439,8 @@ class ComplexDigest:
         self.d = _dim_ring(c)
 
     min_cm_t = _lazy(lambda dg: min_cm_t(dg.c, dg.field))  # None when not pure
-    serre_viol = _lazy(lambda dg: link_profile(dg.c.facet_masks, dg.field)[1])
+    profile = _lazy(lambda dg: link_profile(dg.c.facet_masks, dg.field))
+    serre_viol = _lazy(lambda dg: dg.profile[1])
     # S_{d-t} holds iff d - t <= 1 or serre_viol >= d - t - 1
     serre_threshold = _lazy(lambda dg: max(0, dg.d - 1 - dg.serre_viol))
     dims = _lazy(lambda dg: reduced_homology(dg.c, dg.field).dims)
@@ -447,35 +450,30 @@ class ComplexDigest:
     dual_chordless_min = _lazy(lambda dg: chordless_span(dg.dual_adj, early_min=True)[0])
     dual_is_cycle = _lazy(lambda dg: is_cycle_graph(Graph.from_adj(dg.dual_adj)))
     buchsbaum = _lazy(lambda dg: is_buchsbaum(dg.c, dg.field))
-    depth = _lazy(lambda dg: homological_invariants(hochster_betti(dg.c, dg.field, "ring")).depth)
+    depth = _lazy(lambda dg: dg.profile[2])
 
 
 class _EngineComplexDigest(ComplexDigest):
     """The same fields over GF(2) for slot mask ``s`` of an engine space,
-    read from the engine's tables.  The one field no table gives, the
-    depth of a complex that is not Cohen-Macaulay, comes from the decoded
-    complex by the generic route."""
+    read from the engine's tables."""
 
     field = GF2
 
-    def __init__(self, eng: _engine.PureSpaceEngine, decode: Callable[[int], Complex], s: int):
+    def __init__(self, eng: _engine.PureSpaceEngine, s: int):
         self.eng = eng
-        self.decode = decode
         self.s = s
         self.n = eng.n
         self.d = eng.d
 
-    c = _lazy(lambda dg: dg.decode(dg.s))
     analysis = _lazy(lambda dg: dg.eng.analyze_full(dg.s))
     min_cm_t = _lazy(lambda dg: dg.analysis[0] + 1)
     serre_viol = _lazy(lambda dg: dg.analysis[1])
-    dims = _lazy(lambda dg: dg.analysis[2])
+    depth = _lazy(lambda dg: dg.analysis[2])
+    dims = _lazy(lambda dg: dg.analysis[3])
     dual_edges = _lazy(lambda dg: dg.eng.dual_mask(dg.s))
     ndp_threshold = _lazy(lambda dg: dg.eng.ndp_threshold(dg.dual_edges, dg.dims))
     dual_adj = _lazy(lambda dg: dg.eng.adj_of_edges(dg.dual_edges))
     buchsbaum = _lazy(lambda dg: dg.eng.is_buchsbaum(dg.s))
-
-    depth = _lazy(lambda dg: dg.d if dg.min_cm_t == 0 else ComplexDigest.depth.fn(dg))
 
 
 class GraphDigest:
@@ -519,8 +517,7 @@ class _EngineGraphDigest(GraphDigest):
     linear = _lazy(lambda dg: dg.eng.linearity_data(dg.e))
 
 
-def _engine_digests(hook: str, space: SearchSpace, decode: Callable[[int], Complex | Graph]
-                    ) -> Callable[[int], ComplexDigest | GraphDigest]:
+def _engine_digests(hook: str, space: SearchSpace) -> Callable[[int], ComplexDigest | GraphDigest]:
     """mask -> its digest read from the GF(2) tables, for an engine-eligible space."""
     if space.kind == "graph":
         # thm-main2 checks Alexander duality on every dual it analyzes
@@ -529,7 +526,7 @@ def _engine_digests(hook: str, space: SearchSpace, decode: Callable[[int], Compl
         eng = _engine.pure_space_engine(space.n, space.d)
     else:
         eng = _engine.codim2_engine(space.n)
-    return partial(_EngineComplexDigest, eng, decode)
+    return partial(_EngineComplexDigest, eng)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +558,8 @@ def _topin_clauses(dg: ComplexDigest) -> list[str]:
 
 def _chardepth_clauses(dg: ComplexDigest) -> list[str]:
     """Buchsbaum in codimension 2: depth >= d-1, and non-CM iff the dual's
-    1-skeleton is the n-cycle."""
+    1-skeleton is the n-cycle.  Depth comes from the link profile, as
+    Buchsbaum status does: modulo Hochster's local-cohomology formula."""
     if not dg.buchsbaum:
         return []
     out = []
@@ -794,7 +792,7 @@ def _route(td: TheoremDef, space: SearchSpace, field: FieldSpec,
         raise HarnessError(f"{td.theorem_id} expects {td.kind} spaces")
     if _engine_eligible(td, space, field):
         clauses = _ENGINE_HOOKS[td.engine_hook]
-        digest = _engine_digests(td.engine_hook, space, decode)
+        digest = _engine_digests(td.engine_hook, space)
         return lambda s: clauses(digest(s))
     checker = td.checker
     return lambda s: checker(decode(s), field)

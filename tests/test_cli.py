@@ -203,6 +203,18 @@ def test_homology_of_fourteen_simplex_is_immediate(tmp_path):
     assert proc.stdout.splitlines() == [f"H~_{i} = 0" for i in range(-1, 14)]
 
 
+def test_report_past_the_size_bound_is_refused(tmp_path):
+    # the boundary of the 23-simplex: refused before any link homology
+    path = tmp_path / "sphere21"
+    verts = range(1, 24)
+    path.write_text("V: 23\n" + "".join(" ".join(str(u) for u in verts if u != v) + "\n"
+                                        for v in verts))
+    proc = subprocess.run([sys.executable, "-m", "srlab.cli", "check", str(path), "--report",
+                           "--field", "q"],
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and "exceeds bound 22" in proc.stderr, proc.stderr
+
+
 def _src_env():
     src = str(Path(srlab.__file__).resolve().parent.parent)
     return dict(os.environ,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
@@ -27,6 +29,7 @@ from srlab import (
     skeleton_graph,
     is_cycle_graph,
 )
+from srlab.harness import ComplexDigest
 
 from conftest import (
     all_complex_facets,
@@ -248,6 +251,43 @@ class TestPropertyReport:
     def test_void_refused(self):
         with pytest.raises(ValueError):
             property_report(Complex.void(2))
+
+
+def _assert_depth_matches_hochster(complexes: list[Complex], field: FieldSpec) -> Counter:
+    """The link-walk depth (report and digest) against Auslander-Buchsbaum
+    on the Hochster restriction sum; returns the counts of dim - depth."""
+    gaps = Counter()
+    for c in complexes:
+        expected = homological_invariants(hochster_betti(c, field, "ring")).depth
+        rep = property_report(c, field)
+        assert rep.depth == ComplexDigest(c, field).depth == expected, (field, c)
+        gaps[rep.dim_ring - rep.depth] += 1
+    return gaps
+
+
+def _proper_complexes(n: int) -> list[Complex]:
+    return [c for facets in all_complex_facets(n) if (c := Complex(n, facets)).kind == "proper"]
+
+
+class TestDepth:
+    @pytest.mark.parametrize("field", [GF2, FieldSpec.gf(3), QQ], ids=str)
+    def test_matches_hochster_sum(self, field):
+        """Every proper complex with n <= 4, and with n = 5 over GF(2)."""
+        complexes = [c for n in range(1, 6 if field == GF2 else 5) for c in _proper_complexes(n)]
+        gaps = _assert_depth_matches_hochster(complexes, field)
+        assert sorted(gaps) == ([0, 1, 2, 3] if field == GF2 else [0, 1, 2])
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("field", [FieldSpec.gf(3), QQ], ids=str)
+    def test_matches_hochster_sum_n5(self, field):
+        assert _assert_depth_matches_hochster(_proper_complexes(5), field)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("field", [GF2, FieldSpec.gf(3), QQ], ids=str)
+    def test_matches_hochster_sum_seeded(self, field):
+        complexes = [c for n in range(6, 10) for c in seeded_complexes(n, 150, seed=90 + n)
+                     if c.kind == "proper"]
+        assert _assert_depth_matches_hochster(complexes, field)
 
 
 class TestCrossOracle:

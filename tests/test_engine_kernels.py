@@ -154,9 +154,9 @@ def test_complement_fold(n):
 def test_codim2_analyze_matches_generic(n):
     eng = codim2_engine(n)
     for s, c in pure_instances(n, n - 2, cover=True):
-        max_unclean, serre_viol, dims = eng.analyze_full(s)
+        max_unclean, serre_viol, depth, dims = eng.analyze_full(s)
         assert max_unclean + 1 == min_cm_t(c, GF2), (n, s)
-        assert serre_viol == link_profile(c.facet_masks, GF2)[1], (n, s)
+        assert (serre_viol, depth) == link_profile(c.facet_masks, GF2)[1:], (n, s)
         assert dims == reduced_homology(c, GF2).dims == _dims_by_elimination(c.facet_masks, 2), (
             n, s)
 

@@ -65,6 +65,14 @@ MUTATIONS = [
      "dimext[i + size] = max(",
      "dimext[i + size - 1] = max(",
      "tests/test_criteria.py::TestExtProfile::test_dual_table_matches_face_scan[GF(2)]"),
+    ("depth-own-term-short-by-one", "criteria.py",
+     "depth = low + 1",
+     "depth = low",
+     "tests/test_criteria.py::TestPropertyReport::test_dualc5_report"),
+    ("engine-depth-own-term-short-by-one", "_engine.py",
+     "self.link_digest(s, mb, sv, sv + 1)",
+     "self.link_digest(s, mb, sv, sv)",
+     f"{HARNESS}::test_engine_depth_of_the_non_cm_buchsbaum_class[5]"),
     ("orbit-counted-once", "harness.py",
      "checked += size",
      "checked += 1",
