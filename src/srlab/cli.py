@@ -5,6 +5,13 @@ line), 2 usage or parse error, 3 internal invariant breach.  Predicate
 subcommands encode their boolean in the exit code for shell pipelines;
 ``--json`` switches every payload to a canonical JSON form tagged
 ``"schema": "sr-lab/1"``.
+
+The argparse tree is built once per process, on the first ``main``
+call, and reused: parsing leaves the parser unchanged and returns a
+fresh namespace each time, so no option carries over from one call to
+the next.  A one-shot ``srlab`` process still builds it once; callers
+that run many queries through ``main`` in one process build it once in
+all.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from ._engine import EngineError
 from .betti import betti_json, check_ndp, hochster_betti, render_betti, FULL_LINEARITY
@@ -239,6 +247,7 @@ def _cmd_fixtures(args) -> int:
 # parser
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="srlab",

@@ -2,12 +2,15 @@
 
 The chain complex is augmented (the empty face sits in degree -1), so
 the irrelevant complex has H~_-1 = 1; this convention is what makes
-Hochster's formula come out right for small restrictions.  GF(2) ranks
-use bit-packed column elimination (``pivot_rows_gf2``), run from the top
-boundary map down with clearing: a face that is a leading row of the
-reduced map one size up has its own column skipped, which leaves every
-rank as it was.  Odd primes and the rationals share one fraction-free
-integer row elimination, reduced mod p or divided by row content over Q.
+Hochster's formula come out right for small restrictions.  Every field
+reduces the boundary maps from the top one down with clearing: a face
+that is a leading row of the reduced map one size up has its own column
+skipped, which leaves every rank as it was.  GF(2) columns are bitsets
+(``pivot_rows_gf2``); odd primes and the rationals share one sparse,
+fraction-free column kernel on signed integer dicts (``_pivot_rows_exact``),
+reduced mod p or divided by column content over Q.  Over Q the GF(2)
+dims are computed first and are the answer when they are nonzero in at
+most one degree (universal coefficients and the Euler characteristic).
 
 ``dims_cached`` is the memoized front end, with two keys.  The labelled
 key is the family of masks as given, sorted and deduplicated, so a
@@ -15,8 +18,9 @@ repeated restriction or link costs one lookup.  On a miss of that key
 it cuts the family to its antichain.  A cone (maximal members sharing
 a vertex) is acyclic over every field, so its dims are written down
 without eliminating; ``dims_over_field`` and ``dims_gf2`` always
-eliminate.  Any other antichain is compressed onto its occupied
-vertices into the canonical key, so each shape is eliminated once.
+eliminate (over Q, at least over GF(2)).  Any other antichain is
+compressed onto its occupied vertices into the canonical key, so each
+shape is eliminated once.
 """
 
 from __future__ import annotations
@@ -127,47 +131,39 @@ def pivot_rows_gf2(cols: Iterable[int]) -> int:
     return lead
 
 
-def _rank_exact(rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over GF(p), or over Q when ``p == 0``.
+def _pivot_rows_exact(cols: Iterable[dict[int, int]], p: int) -> int:
+    """Bitmap of the leading rows of ``cols`` reduced over GF(p), or over Q
+    when ``p == 0``.
 
-    Fraction-free row echelon form: each pivot is an entry of least
-    absolute value in its column, and a row below it becomes
-    ``pv*row - f*prow``, reduced mod p or divided by its content over Q.
-    Scaling a row by a nonzero integer keeps the rank, so no fractions
-    are needed.  ``rows`` is consumed.
+    Columns are sparse integer dicts (row -> entry).  As in
+    ``pivot_rows_gf2``, a column is reduced by the kept columns until its
+    leading row (its largest key) is new, or it vanishes; the step is
+    ``a*col - c*pivot`` for the two leading entries a and c, taken mod p
+    or divided by its content over Q.  Scaling a column by a nonzero
+    integer keeps its span, so no fractions are needed.
     """
-    if p:
-        rows = [[x % p for x in row] for row in rows]
-    m = len(rows)
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv, best = -1, 0
-        for r in range(rank, m):
-            x = abs(rows[r][col])
-            if x and (piv < 0 or x < best):
-                piv, best = r, x
-                if x == 1:
-                    break
-        if piv < 0:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        pv = prow[col]
-        for r in range(rank + 1, m):
-            f = rows[r][col]
-            if f:
-                row = [pv * x - f * y for x, y in zip(rows[r], prow)]
-                if p:
-                    row = [x % p for x in row]
-                else:
-                    g = gcd(*row)
-                    if g > 1:
-                        row = [x // g for x in row]
-                rows[r] = row
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    pivots: dict[int, dict[int, int]] = {}
+    lead = 0
+    for v in cols:
+        while v:
+            h = max(v)
+            q = pivots.get(h)
+            if q is None:
+                pivots[h] = v
+                lead |= 1 << h
+                break
+            a, c = q[h], v[h]
+            w = {r: a * x for r, x in v.items()}
+            for r, y in q.items():
+                w[r] = w.get(r, 0) - c * y
+            if p:
+                v = {r: x % p for r, x in w.items() if x % p}
+            else:
+                v = {r: x for r, x in w.items() if x}
+                g = gcd(*v.values())
+                if g > 1:
+                    v = {r: x // g for r, x in v.items()}
+    return lead
 
 
 # ---------------------------------------------------------------------------
@@ -221,18 +217,54 @@ def _signed_boundary_rows(lower: list[int], upper: list[int]) -> list[list[int]]
     return rows
 
 
-def dims_over_field(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, ...]:
-    """Reduced homology dims over an arbitrary FieldSpec (degree -1 first),
-    by eliminating every boundary map."""
-    if field.key == 2:
-        return dims_gf2(facets)
+def _dims_exact(facets: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Reduced homology dims over GF(p), or over Q when ``p == 0``.
+
+    The same top-down walk with clearing as ``dims_gf2``, on signed
+    sparse columns: a reduced column one size up is a cycle over the
+    field, so the column of its leading face is a combination of earlier
+    columns and is skipped.
+    """
     groups = faces_by_size_from_masks(facets)
     top = len(groups) - 1
-    counts = [len(g) for g in groups]
     ranks = [0] * (top + 2)
-    for s in range(1, top + 1):
-        ranks[s] = _rank_exact(_signed_boundary_rows(groups[s - 1], groups[s]), field.key)
-    return tuple(counts[s] - ranks[s] - ranks[s + 1] for s in range(top + 1))
+    cleared = 0
+    for s in range(top, 0, -1):
+        lower = {f: i for i, f in enumerate(groups[s - 1])}
+        cols = []
+        for i, f in enumerate(groups[s]):
+            if cleared >> i & 1:
+                continue
+            col = {}
+            sign = 1
+            m = f
+            while m:
+                b = m & -m
+                m ^= b
+                col[lower[f ^ b]] = sign
+                sign = -sign
+            cols.append(col)
+        cleared = _pivot_rows_exact(cols, p)
+        ranks[s] = cleared.bit_count()
+    return tuple(len(groups[s]) - ranks[s] - ranks[s + 1] for s in range(top + 1))
+
+
+def dims_over_field(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, ...]:
+    """Reduced homology dims over an arbitrary FieldSpec (degree -1 first).
+
+    GF(2) goes to ``dims_gf2`` and odd p to ``_dims_exact``.  Over Q the
+    GF(2) dims come first: by universal coefficients dim H~_i(Q) <=
+    dim H~_i(GF(2)) in every degree, and both have the same reduced Euler
+    characteristic, so GF(2) dims nonzero in at most one degree are the
+    Q dims.  Only the other complexes are eliminated over Q.
+    """
+    if field.key == 2:
+        return dims_gf2(facets)
+    if field.key == 0:
+        dims = dims_gf2(facets)
+        if sum(map(bool, dims)) <= 1:
+            return dims
+    return _dims_exact(facets, field.key)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 
@@ -114,6 +115,49 @@ def ext_dimext_by_face_scan(c: Complex, field: FieldSpec) -> dict[int, int | Non
             if value and 1 <= i <= d and (dimext[i] is None or size > dimext[i]):
                 dimext[i] = size
     return dimext
+
+
+def rank_exact(rows: list[list[int]], p: int) -> int:
+    """Rank of a dense integer matrix over GF(p), or over Q when ``p == 0``.
+
+    Fraction-free row echelon form, eliminating every column: each pivot
+    is an entry of least absolute value in its column, and a row below it
+    becomes ``pv*row - f*prow``, reduced mod p or divided by its content
+    over Q.  Scaling a row by a nonzero integer keeps the rank, so no
+    fractions are needed.  ``rows`` is consumed.
+    """
+    if p:
+        rows = [[x % p for x in row] for row in rows]
+    m = len(rows)
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv, best = -1, 0
+        for r in range(rank, m):
+            x = abs(rows[r][col])
+            if x and (piv < 0 or x < best):
+                piv, best = r, x
+                if x == 1:
+                    break
+        if piv < 0:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        pv = prow[col]
+        for r in range(rank + 1, m):
+            f = rows[r][col]
+            if f:
+                row = [pv * x - f * y for x, y in zip(rows[r], prow)]
+                if p:
+                    row = [x % p for x in row]
+                else:
+                    g = gcd(*row)
+                    if g > 1:
+                        row = [x // g for x in row]
+                rows[r] = row
+        rank += 1
+        if rank == m:
+            break
+    return rank
 
 
 def all_complex_facets(n: int):

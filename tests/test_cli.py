@@ -12,7 +12,7 @@ import pytest
 
 import srlab
 from srlab import harness
-from srlab.cli import main
+from srlab.cli import build_parser, main
 from srlab.fixtures import COMPLEXES, GRAPHS, fixture_text
 
 
@@ -194,13 +194,25 @@ class TestVerifyCli:
 
 
 def test_homology_of_fourteen_simplex_is_immediate(tmp_path):
-    # a cone: no dense elimination of its 3003 x 3432 boundary maps over QQ
+    # a cone: answered without eliminating its 3003 x 3432 boundary maps over QQ
     path = tmp_path / "simplex14"
     path.write_text("V: 14\n" + " ".join(map(str, range(1, 15))) + "\n")
     proc = subprocess.run([sys.executable, "-m", "srlab.cli", "homology", str(path), "--field", "q"],
                           env=_src_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [f"H~_{i} = 0" for i in range(-1, 14)]
+
+
+@pytest.mark.parametrize("field", ["q", "3"])
+def test_homology_of_fourteen_vertex_sphere(tmp_path, capsys, field):
+    # the boundary of the 13-simplex is no cone; clearing keeps its maps small
+    path = tmp_path / "sphere12"
+    verts = range(1, 15)
+    path.write_text("V: 14\n" + "".join(" ".join(str(u) for u in verts if u != v) + "\n"
+                                        for v in verts))
+    code, out, _ = run(capsys, "homology", str(path), "--json", "--field", field)
+    assert code == 0
+    assert json.loads(out)["dims"] == {str(i): int(i == 12) for i in range(-1, 13)}
 
 
 def test_report_past_the_size_bound_is_refused(tmp_path):
@@ -244,3 +256,31 @@ class TestMainInSequence:
             proc = subprocess.run([sys.executable, "-m", "srlab.cli", *argv], env=_src_env(),
                                   capture_output=True, text=True, timeout=60)
             assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_betti_options_do_not_carry_over(self, files, capsys):
+        code, out, _ = run(capsys, "betti", files["C4"], "--ring", "--field", "3", "--json")
+        obj = json.loads(out)
+        assert code == 0 and obj["subject"] == "ring" and obj["field"] == "GF(3)"
+        code, out, _ = run(capsys, "betti", files["C4"], "--json")
+        obj = json.loads(out)
+        assert code == 0 and obj["subject"] == "ideal" and obj["field"] == "GF(2)"
+
+    def test_check_options_do_not_carry_over(self, files, capsys):
+        code, out, _ = run(capsys, "check", files["MT6"], "--report", "--field", "q")
+        assert code == 0 and "field: QQ" in out
+        code, out, _ = run(capsys, "check", files["MT6"], "--report", "--json")
+        assert code == 0 and json.loads(out)["field"] == "GF(2)"
+
+    def test_usage_error_after_a_successful_call(self, files, capsys):
+        code, _, _ = run(capsys, "check", files["MT6"], "--report")
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["check", files["MT6"]])  # no predicate flag
+        assert exc.value.code == 2
+        code, out, _ = run(capsys, "check", files["MT6"], "--serre", "3")
+        assert code == 0 and "S_3: true" in out

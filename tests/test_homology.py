@@ -8,11 +8,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srlab import GF2, QQ, Complex, FieldSpec, cone, hochster_betti, reduced_homology
+from srlab import (
+    GF2,
+    QQ,
+    Complex,
+    FieldSpec,
+    barycentric_subdivision,
+    cone,
+    hochster_betti,
+    reduced_homology,
+)
 from srlab import homology
 from srlab.homology import (
     _LABELLED_LIMIT,
-    _rank_exact,
+    _dims_exact,
     _signed_boundary_rows,
     boundary_matrix,
     clear_homology_cache,
@@ -23,7 +32,7 @@ from srlab.homology import (
     pivot_rows_gf2,
 )
 
-from conftest import all_complex_facets, cycle_complex
+from conftest import all_complex_facets, cycle_complex, rank_exact
 from test_complexes import small_complexes
 
 
@@ -219,11 +228,11 @@ def _random_matrix(rng):
 
 
 def _dims_by_elimination(facets, p):
-    """Reduced homology dims from _rank_exact on every boundary matrix."""
+    """Reduced homology dims from the dense ``rank_exact`` on every boundary map."""
     groups = faces_by_size_from_masks(facets)
     ranks = [0] * (len(groups) + 1)
     for s in range(1, len(groups)):
-        ranks[s] = _rank_exact(_signed_boundary_rows(groups[s - 1], groups[s]), p)
+        ranks[s] = rank_exact(_signed_boundary_rows(groups[s - 1], groups[s]), p)
     return tuple(len(g) - ranks[s] - ranks[s + 1] for s, g in enumerate(groups))
 
 
@@ -233,19 +242,19 @@ class TestRankExact:
         rng = random.Random(f"rank-exact:{p}")
         for _ in range(300):
             rows = _random_matrix(rng)
-            assert _rank_exact([list(r) for r in rows], p) == _reference_rank(rows, p), rows
+            assert rank_exact([list(r) for r in rows], p) == _reference_rank(rows, p), rows
 
     def test_characteristic_three(self):
         # det [[1, 1], [1, -2]] = -3: invertible over Q, singular over GF(3)
-        assert _rank_exact([[1, 1], [1, -2]], 0) == 2
-        assert _rank_exact([[1, 1], [1, -2]], 3) == 1
-        assert _rank_exact([[1, 1], [1, -2]], 5) == 2
+        assert rank_exact([[1, 1], [1, -2]], 0) == 2
+        assert rank_exact([[1, 1], [1, -2]], 3) == 1
+        assert rank_exact([[1, 1], [1, -2]], 5) == 2
 
     def test_empty_shapes(self):
         for p in (0, 3):
-            assert _rank_exact([], p) == 0
-            assert _rank_exact([[], []], p) == 0
-            assert _rank_exact([[0, 0], [0, 0]], p) == 0
+            assert rank_exact([], p) == 0
+            assert rank_exact([[], []], p) == 0
+            assert rank_exact([[0, 0], [0, 0]], p) == 0
 
     def test_gf2_matches_bit_packed_kernel(self):
         # every complex on 5 vertices; fewer vertices are these plus unused ones
@@ -259,6 +268,64 @@ class TestRankExact:
         facets = tuple(((1 << 11) - 1) ^ (1 << v) for v in range(11))
         dims = dims_over_field(facets, QQ)
         assert dims[10] == 1 and sum(dims) == 1  # H~_9 = 1, index 0 is degree -1
+
+
+RP2_6 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+         (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
+
+
+def moore_space_mod3() -> Complex:
+    """A disc whose boundary 9-gon wraps three times round the triangle 1 2 3:
+    H_1 = Z/3 and H_2 = 0 over Z.  Rim vertex i goes to i mod 3 + 1, an inner
+    9-gon (4..12) joins the rim to the centre 13, and every triangle keeps
+    an inner vertex of its own, so the identification stays simplicial."""
+    rim = [i % 3 + 1 for i in range(9)]
+    inner = [4 + i for i in range(9)]
+    facets = []
+    for i in range(9):
+        j = (i + 1) % 9
+        facets += [(rim[i], rim[j], inner[i]), (rim[j], inner[i], inner[j]),
+                   (inner[i], inner[j], 13)]
+    return Complex.from_facets(facets, n=13)
+
+
+class TestExactKernel:
+    @pytest.mark.parametrize("field", [FieldSpec.gf(3), FieldSpec.gf(5), QQ], ids=str)
+    def test_matches_elimination_on_five_vertices(self, field):
+        # clearing skips columns; the dense oracle eliminates every one
+        count = 0
+        for facets in all_complex_facets(5):
+            assert _dims_exact(facets, field.key) == _dims_by_elimination(facets, field.key), facets
+            count += 1
+        assert count == 7580
+
+    def test_certificate_matches_forced_elimination(self):
+        # dims_over_field over QQ returns the GF(2) dims when they are nonzero
+        # in at most one degree; _dims_exact eliminates over QQ regardless
+        certified = 0
+        for facets in all_complex_facets(5):
+            assert dims_over_field(facets, QQ) == _dims_exact(facets, 0), facets
+            certified += sum(map(bool, dims_gf2(facets))) <= 1
+        assert 0 < certified < 7580
+
+    def test_two_torsion_is_not_certified(self):
+        # RP^2 and its subdivision: GF(2) sees H~_1 = H~_2 = 1, QQ and GF(3) see nothing
+        rp2 = Complex.from_facets(RP2_6, n=6)
+        for c in (rp2, barycentric_subdivision(rp2)):
+            masks = c.facet_masks
+            assert dims_gf2(masks) == (0, 0, 1, 1)
+            for field in (FieldSpec.gf(3), QQ):
+                assert dims_over_field(masks, field) == (0, 0, 0, 0)
+                assert _dims_exact(masks, field.key) == _dims_by_elimination(masks, field.key)
+
+    def test_three_torsion_separates_gf3_from_rationals(self):
+        masks = moore_space_mod3().facet_masks
+        for p in (2, 3, 5, 0):
+            assert _dims_by_elimination(masks, p) == ((0, 0, 1, 1) if p == 3 else (0, 0, 0, 0))
+        assert _dims_exact(masks, 3) == (0, 0, 1, 1)
+        assert dims_over_field(masks, FieldSpec.gf(3)) == (0, 0, 1, 1)
+        assert dims_over_field(masks, QQ) == _dims_exact(masks, 0) == (0, 0, 0, 0)
+        assert dims_over_field(masks, FieldSpec.gf(5)) == (0, 0, 0, 0)
 
 
 class TestConeClosedForm:

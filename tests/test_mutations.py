@@ -57,6 +57,14 @@ MUTATIONS = [
      "if apex > 0:",
      "if apex >= 0:",
      "tests/test_betti.py::TestDimsCachedFamilies::test_examples"),
+    ("qq-certificate-on-two-degrees", "homology.py",
+     "if sum(map(bool, dims)) <= 1:",
+     "if sum(map(bool, dims)) <= 2:",
+     "tests/test_homology.py::TestKnownSpaces::test_projective_plane_characteristic"),
+    ("clearing-marks-wrong-columns", "homology.py",
+     "cleared = _pivot_rows_exact(cols, p)",
+     "cleared = _pivot_rows_exact(cols, p) << 1",
+     "tests/test_homology.py::TestExactKernel::test_matches_elimination_on_five_vertices[GF(3)]"),
     ("unclean-link-size-short-by-one", "criteria.py",
      "max_unclean = mb + 1",
      "max_unclean = mb",
