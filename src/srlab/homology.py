@@ -8,9 +8,7 @@ that is a leading row of the reduced map one size up has its own column
 skipped, which leaves every rank as it was.  GF(2) columns are bitsets
 (``pivot_rows_gf2``); odd primes and the rationals share one sparse,
 fraction-free column kernel on signed integer dicts (``_pivot_rows_exact``),
-reduced mod p or divided by column content over Q.  Over Q the GF(2)
-dims are computed first and are the answer when they are nonzero in at
-most one degree (universal coefficients and the Euler characteristic).
+reduced mod p or divided by column content over Q.
 
 ``dims_cached`` is the memoized front end, with two keys.  The labelled
 key is the family of masks as given, sorted and deduplicated, so a
@@ -18,7 +16,7 @@ repeated restriction or link costs one lookup.  On a miss of that key
 it cuts the family to its antichain.  A cone (maximal members sharing
 a vertex) is acyclic over every field, so its dims are written down
 without eliminating; ``dims_over_field`` and ``dims_gf2`` always
-eliminate (over Q, at least over GF(2)).  Any other antichain is
+eliminate.  Any other antichain is
 compressed onto its occupied vertices into the canonical key, so each
 shape is eliminated once.
 """
@@ -252,18 +250,11 @@ def _dims_exact(facets: tuple[int, ...], p: int) -> tuple[int, ...]:
 def dims_over_field(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, ...]:
     """Reduced homology dims over an arbitrary FieldSpec (degree -1 first).
 
-    GF(2) goes to ``dims_gf2`` and odd p to ``_dims_exact``.  Over Q the
-    GF(2) dims come first: by universal coefficients dim H~_i(Q) <=
-    dim H~_i(GF(2)) in every degree, and both have the same reduced Euler
-    characteristic, so GF(2) dims nonzero in at most one degree are the
-    Q dims.  Only the other complexes are eliminated over Q.
+    GF(2) goes to the bitset kernel ``dims_gf2``; odd p and Q go to the
+    integer-dict kernel ``_dims_exact`` (key 0 is Q).
     """
     if field.key == 2:
         return dims_gf2(facets)
-    if field.key == 0:
-        dims = dims_gf2(facets)
-        if sum(map(bool, dims)) <= 1:
-            return dims
     return _dims_exact(facets, field.key)
 
 

@@ -204,15 +204,17 @@ def test_homology_of_fourteen_simplex_is_immediate(tmp_path):
 
 
 @pytest.mark.parametrize("field", ["q", "3"])
-def test_homology_of_fourteen_vertex_sphere(tmp_path, capsys, field):
+def test_homology_of_fourteen_vertex_sphere(tmp_path, field):
     # the boundary of the 13-simplex is no cone; clearing keeps its maps small
     path = tmp_path / "sphere12"
     verts = range(1, 15)
     path.write_text("V: 14\n" + "".join(" ".join(str(u) for u in verts if u != v) + "\n"
                                         for v in verts))
-    code, out, _ = run(capsys, "homology", str(path), "--json", "--field", field)
-    assert code == 0
-    assert json.loads(out)["dims"] == {str(i): int(i == 12) for i in range(-1, 13)}
+    proc = subprocess.run([sys.executable, "-m", "srlab.cli", "homology", str(path), "--json",
+                           "--field", field],
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dims"] == {str(i): int(i == 12) for i in range(-1, 13)}
 
 
 def test_report_past_the_size_bound_is_refused(tmp_path):

