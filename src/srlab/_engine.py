@@ -15,9 +15,9 @@ invariant under relabeling the vertices.
 
 Layout:
   LevelHom        GF(2) homology from per-cardinality face bitmaps, reduced
-                  from the top level down with clearing; face closure,
-                  clique levels and boundary columns are table reads
-                  (OR-folds and per-chunk column tuples).
+                  by homology.clearing_dims; face closure, clique levels
+                  and boundary columns are table reads (OR-folds and
+                  per-chunk column tuples).
   OrFold          the OR of per-slot contributions over a slot mask, read
                   with one table lookup per 11-slot chunk; every
                   per-instance face-bitmap map here is one, and so is
@@ -72,7 +72,7 @@ from typing import Callable
 
 from ._bits import compress_map, remap, size_subsets
 from .criteria import NO_VIOLATION
-from .homology import pivot_rows_gf2
+from .homology import clearing_dims, pivot_rows_gf2
 
 
 class EngineError(AssertionError):
@@ -161,27 +161,12 @@ class LevelHom:
 
     def dims_from_levels(self, masks: list[int]) -> tuple[int, ...]:
         """Homology dims given per-level face bitmaps (masks[0] = 1 for the
-        empty face; the complex must be closed under taking subsets).
-
-        The boundary maps are reduced from the top level down, with
-        clearing: each leading row of the reduced map out of level k + 1
-        is the last k-face of a boundary, so its own column is a sum of
-        earlier columns; it is masked out of level k before that level
-        is reduced, which leaves every rank as it was.
-        """
-        top = len(masks) - 1
-        while top > 0 and not masks[top]:
-            top -= 1
-        counts = [masks[lv].bit_count() for lv in range(top + 1)]
-        ranks = [0] * (top + 2)
-        if top:
-            ranks[1] = 1  # every vertex bounds the empty face
+        empty face; the complex must be closed under taking subsets), by
+        ``homology.clearing_dims`` on the boundary columns of the faces
+        left after clearing."""
         columns = self.boundary_columns
-        cleared = 0  # leading rows of the map out of level lv + 1
-        for lv in range(top, 1, -1):
-            cleared = pivot_rows_gf2(columns(lv, masks[lv] & ~cleared))
-            ranks[lv] = cleared.bit_count()
-        return tuple(counts[lv] - ranks[lv] - ranks[lv + 1] for lv in range(top + 1))
+        return clearing_dims([m.bit_count() for m in masks],
+                             lambda lv, cleared: columns(lv, masks[lv] & ~cleared), pivot_rows_gf2)
 
 
 def _subsets_bitmap(level: list[int], face: int) -> int:

@@ -2,23 +2,20 @@
 
 The chain complex is augmented (the empty face sits in degree -1), so
 the irrelevant complex has H~_-1 = 1; this convention is what makes
-Hochster's formula come out right for small restrictions.  Every field
-reduces the boundary maps from the top one down with clearing: a face
-that is a leading row of the reduced map one size up has its own column
-skipped, which leaves every rank as it was.  GF(2) columns are bitsets
+Hochster's formula come out right for small restrictions.  Every field,
+and the table engine's GF(2) face levels, reduce the boundary maps in
+one walk, ``clearing_dims``.  GF(2) columns are bitsets
 (``pivot_rows_gf2``); odd primes and the rationals share one sparse,
-fraction-free column kernel on signed integer dicts (``_pivot_rows_exact``),
-reduced mod p or divided by column content over Q.
+fraction-free kernel on signed integer dicts (``_pivot_rows_exact``).
 
 ``dims_cached`` is the memoized front end, with two keys.  The labelled
 key is the family of masks as given, sorted and deduplicated, so a
 repeated restriction or link costs one lookup.  On a miss of that key
 it cuts the family to its antichain.  A cone (maximal members sharing
 a vertex) is acyclic over every field, so its dims are written down
-without eliminating; ``dims_over_field`` and ``dims_gf2`` always
-eliminate.  Any other antichain is
-compressed onto its occupied vertices into the canonical key, so each
-shape is eliminated once.
+without eliminating; ``dims_over_field`` always eliminates.  Any other
+antichain is compressed onto its occupied vertices into the canonical
+key, so each shape is eliminated once.
 """
 
 from __future__ import annotations
@@ -31,6 +28,34 @@ from ._bits import antichain, compress_masks, faces_by_size_from_masks
 from .complexes import Complex
 
 
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 2^64.
+
+    No odd composite below 3.18 * 10^23 is a strong pseudoprime to all of
+    the bases 2, 3, ..., 37 (Sorenson-Webster 2017), so the test is exact
+    there; each base costs O(log n) modular squarings.
+    """
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    r = ((n - 1) & (1 - n)).bit_length() - 1   # n - 1 = d * 2^r with d odd
+    d = (n - 1) >> r
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Coefficient field: a prime p (exact arithmetic mod p) or Q."""
@@ -40,7 +65,9 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.variant == "prime":
-            if self.p is None or self.p < 2 or any(self.p % q == 0 for q in range(2, int(self.p**0.5) + 1)):
+            if self.p is not None and self.p >= 1 << 64:
+                raise ValueError(f"{self.p} is too large: the characteristic must be below 2^64")
+            if self.p is None or not _is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
         elif self.variant == "rationals":
             if self.p is not None:
@@ -63,9 +90,10 @@ class FieldSpec:
         if t in ("q", "qq", "0", "rationals"):
             return cls.rationals()
         try:
-            return cls.gf(int(t))
+            p = int(t)
         except ValueError:
             raise ValueError(f"bad field spec {text!r}: expected a prime or 'q'") from None
+        return cls.gf(p)
 
     @property
     def key(self):
@@ -165,97 +193,101 @@ def _pivot_rows_exact(cols: Iterable[dict[int, int]], p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# boundary construction on raw facet masks
+# the clearing walk
 
 
-def dims_gf2(facets: tuple[int, ...]) -> tuple[int, ...]:
-    """Reduced homology dims over GF(2), indexed from degree -1.
+def clearing_dims(counts: list[int], columns, pivot_rows) -> tuple[int, ...]:
+    """Reduced homology dims, indexed from degree -1, from the boundary maps
+    reduced from the top size down with clearing.
 
-    ``facets`` is a nonempty antichain of masks ((0,) for the irrelevant
-    complex).  Signs vanish mod 2, so boundary columns are plain bitsets.
-    The maps are reduced from the top size down, with clearing.  A face
-    that is the leading row of a reduced column one size up is the last
-    face of a boundary z; d(z) = 0 makes its own column a sum of earlier
-    columns, so it is skipped and the rank is unchanged.
+    ``counts[s]`` is the number of faces of size s (``counts[0] == 1``, the
+    empty face; trailing zeros are ignored).  ``columns(s, cleared)``
+    returns the boundary columns of the size-s faces whose positions are
+    not flagged in the bitmap ``cleared``, and ``pivot_rows`` maps columns
+    to the bitmap of their leading rows (``pivot_rows_gf2``, or
+    ``_pivot_rows_exact`` at a fixed p).  Clearing (Chen-Kerber's twist):
+    a leading row of the reduced map out of size s + 1 is the last face
+    of a boundary z, and d(z) = 0 makes that face's own column a
+    combination of earlier columns, so skipping it leaves every rank as
+    it was, over any field and however the columns are stored.  The map
+    from vertices is not reduced: every vertex bounds the empty face, so
+    rank d_1 = 1.
     """
-    groups = faces_by_size_from_masks(facets)
-    top = len(groups) - 1
-    ranks = [0] * (top + 2)  # ranks[s] = rank of boundary from size s to size s-1
-    cleared = 0              # leading rows of the boundary from size s+1
-    for s in range(top, 0, -1):
-        lower = {f: i for i, f in enumerate(groups[s - 1])}
-        cols = []
-        for i, f in enumerate(groups[s]):
-            if cleared >> i & 1:
-                continue
-            col = 0
-            m = f
-            while m:
-                b = m & -m
-                m ^= b
-                col |= 1 << lower[f ^ b]
-            cols.append(col)
-        cleared = pivot_rows_gf2(cols)
+    top = len(counts) - 1
+    while top > 0 and not counts[top]:
+        top -= 1
+    ranks = [0] * (top + 2)  # ranks[s] = rank of the map from size s to size s - 1
+    if top:
+        ranks[1] = 1
+    cleared = 0              # leading rows of the map out of size s + 1
+    for s in range(top, 1, -1):
+        cleared = pivot_rows(columns(s, cleared))
         ranks[s] = cleared.bit_count()
-    return tuple(len(groups[s]) - ranks[s] - ranks[s + 1] for s in range(top + 1))
+    return tuple(counts[s] - ranks[s] - ranks[s + 1] for s in range(top + 1))
 
 
-def _signed_boundary_rows(lower: list[int], upper: list[int]) -> list[list[int]]:
-    """Dense signed boundary matrix: rows <-> ``lower`` faces, cols <-> ``upper``."""
+def _bit_columns(lower: list[int], upper: list[int], skip: int) -> list[int]:
+    """GF(2) boundary columns, bitsets over ``lower``, of the ``upper`` faces
+    whose positions are not flagged in ``skip`` (signs vanish mod 2)."""
     idx = {f: i for i, f in enumerate(lower)}
-    rows = [[0] * len(upper) for _ in lower]
-    for j, f in enumerate(upper):
+    cols = []
+    for i, f in enumerate(upper):
+        if skip >> i & 1:
+            continue
+        col = 0
+        m = f
+        while m:
+            b = m & -m
+            m ^= b
+            col |= 1 << idx[f ^ b]
+        cols.append(col)
+    return cols
+
+
+def _signed_columns(lower: list[int], upper: list[int], skip: int = 0) -> list[dict[int, int]]:
+    """Signed boundary columns, integer dicts over positions in ``lower``,
+    of the ``upper`` faces whose positions are not flagged in ``skip``."""
+    idx = {f: i for i, f in enumerate(lower)}
+    cols = []
+    for i, f in enumerate(upper):
+        if skip >> i & 1:
+            continue
+        col = {}
         sign = 1
         m = f
         while m:
             b = m & -m
             m ^= b
-            rows[idx[f ^ b]][j] = sign
+            col[idx[f ^ b]] = sign
             sign = -sign
+        cols.append(col)
+    return cols
+
+
+def _signed_boundary_rows(lower: list[int], upper: list[int]) -> list[list[int]]:
+    """Dense signed boundary matrix: rows <-> ``lower`` faces, cols <-> ``upper``."""
+    rows = [[0] * len(upper) for _ in lower]
+    for j, col in enumerate(_signed_columns(lower, upper)):
+        for i, x in col.items():
+            rows[i][j] = x
     return rows
 
 
-def _dims_exact(facets: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Reduced homology dims over GF(p), or over Q when ``p == 0``.
+def dims_over_field(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, ...]:
+    """Reduced homology dims over a FieldSpec, indexed from degree -1.
 
-    The same top-down walk with clearing as ``dims_gf2``, on signed
-    sparse columns: a reduced column one size up is a cycle over the
-    field, so the column of its leading face is a combination of earlier
-    columns and is skipped.
+    ``facets`` is a nonempty antichain of masks ((0,) for the irrelevant
+    complex).  GF(2) hands bitset columns to ``pivot_rows_gf2``; odd p and
+    Q (key 0) hand signed integer-dict columns to ``_pivot_rows_exact``.
     """
     groups = faces_by_size_from_masks(facets)
-    top = len(groups) - 1
-    ranks = [0] * (top + 2)
-    cleared = 0
-    for s in range(top, 0, -1):
-        lower = {f: i for i, f in enumerate(groups[s - 1])}
-        cols = []
-        for i, f in enumerate(groups[s]):
-            if cleared >> i & 1:
-                continue
-            col = {}
-            sign = 1
-            m = f
-            while m:
-                b = m & -m
-                m ^= b
-                col[lower[f ^ b]] = sign
-                sign = -sign
-            cols.append(col)
-        cleared = _pivot_rows_exact(cols, p)
-        ranks[s] = cleared.bit_count()
-    return tuple(len(groups[s]) - ranks[s] - ranks[s + 1] for s in range(top + 1))
-
-
-def dims_over_field(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, ...]:
-    """Reduced homology dims over an arbitrary FieldSpec (degree -1 first).
-
-    GF(2) goes to the bitset kernel ``dims_gf2``; odd p and Q go to the
-    integer-dict kernel ``_dims_exact`` (key 0 is Q).
-    """
-    if field.key == 2:
-        return dims_gf2(facets)
-    return _dims_exact(facets, field.key)
+    p = field.key
+    if p == 2:
+        build, pivot_rows = _bit_columns, pivot_rows_gf2
+    else:
+        build, pivot_rows = _signed_columns, lambda cols: _pivot_rows_exact(cols, p)
+    return clearing_dims([len(g) for g in groups],
+                         lambda s, cleared: build(groups[s - 1], groups[s], cleared), pivot_rows)
 
 
 # ---------------------------------------------------------------------------

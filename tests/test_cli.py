@@ -52,6 +52,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "info", "/nonexistent/path")
         assert code == 2
 
+    def test_field_of_characteristic_past_two_to_the_64_is_two(self, files, capsys):
+        # 2^64 + 13 is prime; primality is decided only below 2^64
+        code, _, err = run(capsys, "homology", files["C4"], "--field", str(2**64 + 13))
+        assert code == 2 and "2^64" in err
+
     def test_unknown_verify_id_is_two(self, capsys):
         code, _, err = run(capsys, "verify", "not-a-theorem")
         assert code == 2 and "unknown theorem id" in err

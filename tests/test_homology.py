@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,15 +19,13 @@ from srlab import (
     hochster_betti,
     reduced_homology,
 )
-from srlab import homology
+from srlab import _engine, homology
 from srlab.homology import (
     _LABELLED_LIMIT,
-    _dims_exact,
     _signed_boundary_rows,
     boundary_matrix,
     clear_homology_cache,
     dims_cached,
-    dims_gf2,
     dims_over_field,
     faces_by_size_from_masks,
     pivot_rows_gf2,
@@ -52,6 +51,26 @@ class TestFieldSpec:
             FieldSpec.gf(6)
         with pytest.raises(ValueError):
             FieldSpec.parse("9")
+
+    def test_large_primes_are_accepted_at_once(self):
+        # primes up to the 2^64 bound; 2^64 - 59 is the largest prime below it
+        for p in (10**18 + 3, 2**61 - 1, 2**64 - 59):
+            start = time.perf_counter()
+            assert FieldSpec.parse(str(p)).p == p
+            assert time.perf_counter() - start < 1.0
+
+    def test_rejects_pseudoprimes(self):
+        # 10^18 + 1 = 101 * 9901 * 999999000001; 561 is a Carmichael number;
+        # 2047 = 23 * 89 is a strong pseudoprime to base 2, and
+        # 3215031751 = 151 * 751 * 28351 to the bases 2, 3, 5 and 7
+        for n in (10**18 + 1, 561, 2047, 3215031751):
+            with pytest.raises(ValueError, match="not prime"):
+                FieldSpec.parse(str(n))
+
+    def test_refuses_characteristic_from_two_to_the_64(self):
+        for n in (2**64, 2**64 + 13):  # 2^64 + 13 is the least prime above 2^64
+            with pytest.raises(ValueError, match="2\\^64"):
+                FieldSpec.gf(n)
 
     def test_str(self):
         assert str(GF2) == "GF(2)"
@@ -164,16 +183,16 @@ class TestProperties:
     def test_gf2_fast_path_matches_generic(self, mt6):
         for r in (3, 4, 5, 6):
             c = cycle_complex(r)
-            assert dims_gf2(c.facet_masks) == tuple(
+            assert dims_over_field(c.facet_masks, GF2) == tuple(
                 reduced_homology(c, FieldSpec.gf(3))[i] for i in range(-1, c.dim + 1)
             )
 
     @settings(max_examples=80, deadline=None)
     @given(small_complexes(max_n=7))
     def test_gf2_clearing_matches_elimination(self, c):
-        # dims_gf2 skips cleared columns; the reference eliminates every one
+        # clearing skips columns; the reference eliminates every one
         if not c.is_void:
-            assert dims_gf2(c.facet_masks) == _dims_by_elimination(c.facet_masks, 2)
+            assert dims_over_field(c.facet_masks, GF2) == _dims_by_elimination(c.facet_masks, 2)
 
     def test_gf2_clearing_on_fixtures(self, c4, mt6, dualc5, r6, d6, two_edges):
         rp2 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6), (2, 3, 5),
@@ -181,8 +200,8 @@ class TestProperties:
         sphere = [tuple(v for v in range(1, 8) if v != u) for u in range(1, 8)]
         for c in (c4, mt6, dualc5, r6, d6, two_edges, cycle_complex(7),
                   Complex.from_facets(rp2), Complex.from_facets(sphere)):
-            assert dims_gf2(c.facet_masks) == _dims_by_elimination(c.facet_masks, 2)
-        assert dims_gf2(Complex.from_facets(rp2).facet_masks) == (0, 0, 1, 1)
+            assert dims_over_field(c.facet_masks, GF2) == _dims_by_elimination(c.facet_masks, 2)
+        assert dims_over_field(Complex.from_facets(rp2).facet_masks, GF2) == (0, 0, 1, 1)
 
     def test_fraction_pivoting_square(self):
         # spot check: rationals agree with mod-7 on a homology-free complex
@@ -264,7 +283,7 @@ class TestRankExact:
         # every complex on 5 vertices; fewer vertices are these plus unused ones
         count = 0
         for facets in all_complex_facets(5):
-            assert _dims_by_elimination(facets, 2) == dims_gf2(facets), facets
+            assert _dims_by_elimination(facets, 2) == dims_over_field(facets, GF2), facets
             count += 1
         assert count == 7580  # Dedekind number M(5) = 7581, less the void complex
 
@@ -295,7 +314,7 @@ class TestExactKernel:
         # clearing skips columns; the dense oracle eliminates every one
         count = 0
         for facets in all_complex_facets(5):
-            assert _dims_exact(facets, field.key) == _dims_by_elimination(facets, field.key), facets
+            assert dims_over_field(facets, field) == _dims_by_elimination(facets, field.key), facets
             count += 1
         assert count == 7580
 
@@ -303,8 +322,9 @@ class TestExactKernel:
         # answers are pinned in TestKnownSpaces::test_projective_plane_characteristic
         rp2 = Complex.from_facets(RP2_6, n=6)
         for c in (rp2, barycentric_subdivision(rp2)):
-            for p in (3, 0):
-                assert _dims_exact(c.facet_masks, p) == _dims_by_elimination(c.facet_masks, p)
+            for field in (FieldSpec.gf(3), QQ):
+                assert (dims_over_field(c.facet_masks, field)
+                        == _dims_by_elimination(c.facet_masks, field.key))
 
     def test_three_torsion_separates_gf3_from_rationals(self):
         masks = moore_space_mod3().facet_masks
@@ -313,6 +333,39 @@ class TestExactKernel:
         assert dims_over_field(masks, FieldSpec.gf(3)) == (0, 0, 1, 1)
         assert dims_over_field(masks, QQ) == (0, 0, 0, 0)
         assert dims_over_field(masks, FieldSpec.gf(5)) == (0, 0, 0, 0)
+
+
+def _counting(kernel, seen: list[int]):
+    """``kernel`` that records how many columns each call is handed."""
+    def counted(cols, *args):
+        cols = list(cols)
+        seen.append(len(cols))
+        return kernel(cols, *args)
+    return counted
+
+
+class TestClearingSkipsColumns:
+    # the boundary of the 6-simplex has 119 faces of size >= 2; clearing hands
+    # the kernel f_s - rank d_{s+1} of size s: 7 + 15 + 20 + 15 + 6 = 63
+    SPHERE = tuple(0b1111111 ^ (1 << v) for v in range(7))
+
+    def test_face_count(self):
+        assert sum(map(len, faces_by_size_from_masks(self.SPHERE)[2:])) == 119
+
+    @pytest.mark.parametrize("field", [GF2, FieldSpec.gf(3), QQ], ids=str)
+    def test_dims_over_field(self, field, monkeypatch):
+        seen: list[int] = []
+        monkeypatch.setattr(homology, "pivot_rows_gf2", _counting(pivot_rows_gf2, seen))
+        monkeypatch.setattr(homology, "_pivot_rows_exact", _counting(homology._pivot_rows_exact, seen))
+        assert dims_over_field(self.SPHERE, field) == (0,) * 6 + (1,)
+        assert sum(seen) == 63
+
+    def test_level_hom(self, monkeypatch):
+        seen: list[int] = []
+        monkeypatch.setattr(_engine, "pivot_rows_gf2", _counting(pivot_rows_gf2, seen))
+        lh = _engine.level_hom(7)
+        assert lh.dims_from_levels(lh.closure(6, lh.full[6])) == (0,) * 6 + (1,)
+        assert sum(seen) == 63
 
 
 class TestConeClosedForm:

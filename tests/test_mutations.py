@@ -58,9 +58,13 @@ MUTATIONS = [
      "if apex >= 0:",
      "tests/test_betti.py::TestDimsCachedFamilies::test_examples"),
     ("clearing-marks-wrong-columns", "homology.py",
-     "cleared = _pivot_rows_exact(cols, p)",
-     "cleared = _pivot_rows_exact(cols, p) << 1",
+     "cleared = pivot_rows(columns(s, cleared))",
+     "cleared = pivot_rows(columns(s, cleared)) << 1",
      "tests/test_homology.py::TestExactKernel::test_matches_elimination_on_five_vertices[GF(3)]"),
+    ("gf2-column-drops-a-face", "homology.py",
+     "col |= 1 << idx[f ^ b]",
+     "col |= 1 << idx[f ^ b] if m else 0",
+     "tests/test_homology.py::TestRankExact::test_gf2_matches_bit_packed_kernel"),
     ("unclean-link-size-short-by-one", "criteria.py",
      "max_unclean = mb + 1",
      "max_unclean = mb",
