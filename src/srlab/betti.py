@@ -3,9 +3,12 @@
 beta_{i,j}(I_Delta) = sum over |W| = j of dim_K H~_{j-i-2}(Delta_W): every
 invariant here (projdim, depth, regularity, the shape predicates) is a
 function of that sparse table, computed without ever materializing the
-polynomial ring.  Each restriction's homology comes from
-``homology.dims_cached``, which looks the restricted family up as given
-before it tests for a cone or canonicalizes.  The table of the
+polynomial ring.  The sum runs over the LCM lattice of I_Delta, the unions
+of minimal nonfaces (Gasharov-Peeva-Welker): any other Delta_W is a cone.
+Each restriction's homology comes from ``homology.dims_cached``, which
+looks the restricted family up as given before it tests for a cone or
+canonicalizes, and reduces Delta's own boundary columns inside W on a
+miss.  The table of the
 Alexander dual's ideal, ``dual_ideal_table``, is summed over the links
 of the faces of Delta instead, so the dual is never built.  Indexing is
 validated by the forced C4 complete-intersection example in the test
@@ -17,8 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dfield
 
-from .complexes import Complex
-from .homology import GF2, FieldSpec, dims_cached
+from .complexes import Complex, _minimal_nonface_masks
+from .homology import GF2, FieldSpec, dims_cached, restriction_dims
 
 #: Sentinel for check_ndp "all steps up to projdim must be linear".
 FULL_LINEARITY = math.inf
@@ -73,15 +76,20 @@ def hochster_betti(
 ) -> BettiTable:
     """Betti table of I_Delta (or K[Delta]) by summing restriction homology.
 
-    ``dims_cached`` answers each restriction: by a lookup under the
-    restricted family as given, by the cone test on its antichain
-    (maximal members sharing a vertex are acyclic over every field), or
-    by homology memoized on the compressed shape.  A W that adds unused
-    vertices to another W gives the same restricted family, so its term
-    is a lookup.  The void complex is refused (its ideal would be the
+    Only W in the LCM lattice of I_Delta, the unions of minimal nonfaces,
+    can add a term (Gasharov-Peeva-Welker): a vertex v of W in no minimal
+    nonface inside W is the apex of Delta_W, since a face F of Delta_W
+    with F + v a nonface would put a minimal nonface through v inside W.
+    So the walk is the union closure of the minimal nonfaces; it is empty
+    for the full simplex, which has none, and has every W of size at
+    least 2 for isolated points.  ``dims_cached`` answers each W: by a
+    lookup under the restricted family as given, or by homology memoized
+    on the compressed shape.  On a miss of both, Delta's own boundary
+    columns inside W are reduced (``restriction_dims``), built at the
+    first miss.  The void complex is refused (its ideal would be the
     unit ideal); the irrelevant complex works and yields the Koszul
     table of the maximal ideal.  n is capped by ``DEFAULT_SIZE_BOUND``
-    (the sum has 2^n terms).
+    (the lattice of the irrelevant complex has 2^n - 1 members).
     """
     if subject not in ("ideal", "ring"):
         raise ValueError(f"subject must be 'ideal' or 'ring', not {subject!r}")
@@ -90,11 +98,17 @@ def hochster_betti(
     if c.n > DEFAULT_SIZE_BOUND:
         raise ValueError(f"ambient size {c.n} exceeds bound {DEFAULT_SIZE_BOUND}")
 
+    lattice: set[int] = set()
+    for g in sorted(_minimal_nonface_masks(c)):
+        lattice |= {w | g for w in lattice}
+        lattice.add(g)
+
     ideal: dict[tuple[int, int], int] = {}
     facet_masks = c.facet_masks
-    for w in range(1, 1 << c.n):
+    restricted = restriction_dims(facet_masks, field)
+    for w in lattice:
         j = w.bit_count()
-        dims = dims_cached([f & w for f in facet_masks], field)
+        dims = dims_cached([f & w for f in facet_masks], field, lambda: restricted(w))
         for off, value in enumerate(dims):  # off = degree + 1; i >= 0 when value
             if value:
                 key = (j - off - 1, j)

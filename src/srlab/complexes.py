@@ -295,23 +295,24 @@ def restriction(c: Complex, vertices: Iterable[int]) -> LinkResult:
 def _minimal_nonface_masks(c: Complex) -> list[int]:
     """Inclusion-minimal nonfaces as masks, in no particular order.
 
-    A minimal nonface less its highest vertex is a face, so each one is
-    met exactly once: as a face f extended by a vertex above f's highest,
-    that is no face although every subset one smaller is.
+    A set is a nonface iff it meets the complement of every facet, so the
+    minimal nonfaces are the minimal transversals of the facet
+    complements.  Berge's method adds the complements one at a time to
+    the minimal transversals t of the ones before (at first only the
+    empty set).  A t that meets the new complement e is kept.  Any other
+    t grows to t | b for every b in e, and a grown set is dropped only if
+    it contains a kept one.  Grown sets never contain one another: t | b
+    >= t' | b' with t' != t needs b in t' (else t' < t), but t' misses e.
+    No face set is built; the void complex gets the empty set and the
+    simplex none.
     """
-    if c.is_void:
-        return [0]
-    faces = c.face_masks()
-    top = 1 << c.n
-    found = []
-    for f in faces:
-        drops = bits_of(f)
-        b = 1 << f.bit_length()
-        while b < top:
-            cand = f | b
-            if cand not in faces and all(cand ^ x in faces for x in drops):
-                found.append(cand)
-            b <<= 1
+    full = (1 << c.n) - 1
+    found = [0]
+    for f in c.facet_masks:
+        e = full ^ f
+        kept = [t for t in found if t & e]
+        grown = [t | b for t in found if not t & e for b in bits_of(e)]
+        found = kept + [g for g in grown if not any(k & g == k for k in kept)]
     return found
 
 

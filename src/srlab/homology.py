@@ -15,7 +15,9 @@ it cuts the family to its antichain.  A cone (maximal members sharing
 a vertex) is acyclic over every field, so its dims are written down
 without eliminating; ``dims_over_field`` always eliminates.  Any other
 antichain is compressed onto its occupied vertices into the canonical
-key, so each shape is eliminated once.
+key, so each shape is eliminated once.  ``restriction_dims`` eliminates
+the restrictions of one complex on that complex's own boundary columns,
+so a Betti table builds one face set, not one per shape.
 """
 
 from __future__ import annotations
@@ -273,6 +275,15 @@ def _signed_boundary_rows(lower: list[int], upper: list[int]) -> list[list[int]]
     return rows
 
 
+def _kernel(field: FieldSpec):
+    """The column builder and the leading-row kernel ``clearing_dims`` uses
+    over ``field``: bitsets over GF(2), signed integer dicts otherwise."""
+    p = field.key
+    if p == 2:
+        return _bit_columns, pivot_rows_gf2
+    return _signed_columns, lambda cols: _pivot_rows_exact(cols, p)
+
+
 def dims_over_field(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, ...]:
     """Reduced homology dims over a FieldSpec, indexed from degree -1.
 
@@ -281,13 +292,36 @@ def dims_over_field(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, ...
     Q (key 0) hand signed integer-dict columns to ``_pivot_rows_exact``.
     """
     groups = faces_by_size_from_masks(facets)
-    p = field.key
-    if p == 2:
-        build, pivot_rows = _bit_columns, pivot_rows_gf2
-    else:
-        build, pivot_rows = _signed_columns, lambda cols: _pivot_rows_exact(cols, p)
+    build, pivot_rows = _kernel(field)
     return clearing_dims([len(g) for g in groups],
                          lambda s, cleared: build(groups[s - 1], groups[s], cleared), pivot_rows)
+
+
+def restriction_dims(facets: tuple[int, ...], field: FieldSpec):
+    """A function of a vertex mask w: the reduced homology dims over a
+    FieldSpec of the complex generated by ``facets`` restricted to w,
+    indexed from degree -1.
+
+    The faces of the whole complex and their boundary columns are built
+    once, at the first call.  Each call hands ``clearing_dims`` the
+    columns of the faces inside w, in the whole complex's numbering: the
+    faces of a face inside w lie inside w, so those columns are the
+    boundary maps of the restriction, and no face closure is rebuilt.
+    """
+    build, pivot_rows = _kernel(field)
+    groups: list[list[int]] = []
+    cols: list[list] = []
+
+    def dims(w: int) -> tuple[int, ...]:
+        if not groups:
+            groups.extend(faces_by_size_from_masks(facets))
+            cols.extend([[], []] + [build(groups[s - 1], groups[s], 0)
+                                    for s in range(2, len(groups))])
+        inside = [[i for i, f in enumerate(g) if f & w == f] for g in groups]
+        return clearing_dims([len(x) for x in inside],
+                             lambda s, cleared: [cols[s][i] for i in inside[s]
+                                                 if not cleared >> i & 1], pivot_rows)
+    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +338,7 @@ def clear_homology_cache() -> None:
     _LABELLED.clear()
 
 
-def dims_cached(facets, field: FieldSpec) -> tuple[int, ...]:
+def dims_cached(facets, field: FieldSpec, eliminate=None) -> tuple[int, ...]:
     """Homology dims of the complex generated by a family of masks, memoized.
 
     The family may hold 0, duplicates and nested members.  It is looked
@@ -314,7 +348,10 @@ def dims_cached(facets, field: FieldSpec) -> tuple[int, ...]:
     as it is.  An antichain whose members share a vertex is a cone: its
     dims are all 0 and it is not canonicalized.  Any other antichain is
     compressed onto its occupied vertices and eliminated once per
-    canonical key in ``_CACHE``.  A canonical family's two keys
+    canonical key in ``_CACHE``: by ``eliminate()`` when the caller
+    passes one (``hochster_betti`` hands over a reduction of its
+    complex's own columns inside W), else by ``dims_over_field`` on the
+    compressed shape.  A canonical family's two keys
     coincide, so it is stored once, in ``_CACHE``; cones and the other
     families go to ``_LABELLED``, which is emptied when it reaches
     ``_LABELLED_LIMIT`` entries, so that a long session keeps storing
@@ -336,7 +373,7 @@ def dims_cached(facets, field: FieldSpec) -> tuple[int, ...]:
         ckey = (field.key, canon)
         dims = _CACHE.get(ckey)
         if dims is None:
-            dims = dims_over_field(canon, field)
+            dims = eliminate() if eliminate else dims_over_field(canon, field)
             if len(_CACHE) < _CACHE_LIMIT:
                 _CACHE[ckey] = dims
         if canon == family:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 
 import pytest
@@ -22,12 +24,14 @@ from srlab import (
     minimal_nonfaces,
     render_betti,
 )
-from srlab._bits import antichain, remap
+from srlab._bits import antichain, mask_of, remap
 from srlab.betti import BettiTable, betti_json, dual_ideal_table, ring_table
 from srlab.homology import FieldSpec, clear_homology_cache, dims_cached, dims_over_field
 
-from conftest import all_complex_facets, all_pure_complexes, seeded_complexes
+from conftest import (all_complex_facets, all_pure_complexes, brute_minimal_nonfaces,
+                      seeded_complexes)
 from test_complexes import small_complexes
+from test_homology import RP2_6, moore_space_mod3
 
 
 class TestHochsterIndexing:
@@ -255,6 +259,92 @@ class TestConeRestrictions:
                 c, field), facets
             count += 1
         assert count == self.COUNTS[n]
+
+
+def _lattice(c: Complex) -> set[int]:
+    """Unions of minimal nonfaces, found by a scan of every subset."""
+    gens = [mask_of(t) for t in brute_minimal_nonfaces(c)]
+    return {w for w in range(1, 1 << c.n)
+            if w == functools.reduce(operator.or_, (g for g in gens if g & w == g), 0)}
+
+
+def _cross_polytope(k: int) -> Complex:
+    """Boundary of the k-dimensional cross-polytope on 2k vertices: vertex
+    i + k is the antipode of i, and a facet picks one of each pair."""
+    return Complex.from_facets([[i + k * (m >> (i - 1) & 1) for i in range(1, k + 1)]
+                                for m in range(1 << k)], n=2 * k)
+
+
+class TestLatticeWalk:
+    """Hochster's sum over the unions of minimal nonfaces, each restriction
+    reduced on the complex's own columns, against the sum over every W
+    eliminated on its own, uncached."""
+
+    def test_square_needs_both_generators(self, c4):
+        # W = {1,2,3,4} is the union of the two diagonals and carries beta_{1,4}
+        clear_homology_cache()
+        assert hochster_betti(c4, GF2, "ideal").entries == {(0, 2): 2, (1, 4): 1}
+        assert _lattice(c4) == {0b0101, 0b1010, 0b1111}
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_seeded(self, n, field):
+        for c in seeded_complexes(n, 30, seed=1000 + 10 * n + field.key):
+            clear_homology_cache()
+            assert hochster_betti(c, field, "ring") == _ring_table_every_restriction(
+                c, field), c
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_projective_plane(self, field):
+        # 2-torsion: GF(2) sees H~_1 and H~_2 of the whole complex, GF(3) and QQ do not
+        rp2 = Complex.from_facets(RP2_6, n=6)
+        clear_homology_cache()
+        assert hochster_betti(rp2, field, "ring") == _ring_table_every_restriction(rp2, field)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_moore_space(self, field):
+        # 3-torsion, on 13 vertices: the oracle eliminates 2^13 - 1 restrictions
+        moore = moore_space_mod3()
+        clear_homology_cache()
+        table = hochster_betti(moore, field, "ring")
+        assert table == _ring_table_every_restriction(moore, field)
+        assert table.beta(10, 13) == (field.key == 3)
+
+    def test_cross_polytope(self):
+        # the 12-vertex octahedral 5-sphere: I is generated by the six
+        # antipodal pairs, a complete intersection, so its lattice has 63 members
+        c = _cross_polytope(6)
+        assert len(_lattice(c)) == 63
+        for field in FIELDS:
+            clear_homology_cache()
+            table = hochster_betti(c, field, "ideal")
+            assert table.entries == {(i - 1, 2 * i): math.comb(6, i) for i in range(1, 7)}
+            assert ring_table(table) == _ring_table_every_restriction(c, field)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_terms_lie_on_the_lattice_every_complex(self, n):
+        for facets in all_complex_facets(n):
+            self._check_support(Complex(n, facets, _trusted=True))
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_terms_lie_on_the_lattice_seeded(self, n):
+        for c in seeded_complexes(n, 20, seed=2000 + n):
+            self._check_support(c)
+
+    @staticmethod
+    def _check_support(c: Complex) -> None:
+        # every W with a nonzero term in the sum over all W is a union of
+        # minimal nonfaces; the others are cones, acyclic over every field
+        lattice = _lattice(c)
+        for w in range(1, 1 << c.n):
+            if w not in lattice:
+                for field in FIELDS:
+                    dims = dims_over_field(antichain(f & w for f in c.facet_masks), field)
+                    assert not any(dims), (c, w, field)
+
+    def test_simplex_walks_nothing(self):
+        # no minimal nonface, no restriction: 22 vertices cost nothing
+        assert hochster_betti(Complex.simplex(22), GF2, "ring").entries == {(0, 0): 1}
 
 
 class TestUnusedVertices:

@@ -222,6 +222,31 @@ def test_homology_of_fourteen_vertex_sphere(tmp_path, field):
     assert json.loads(proc.stdout)["dims"] == {str(i): int(i == 12) for i in range(-1, 13)}
 
 
+def test_betti_of_twenty_two_vertex_simplex(tmp_path):
+    # no minimal nonface, so Hochster's sum has no term: no 2^22 restrictions
+    path = tmp_path / "simplex21"
+    path.write_text("V: 22\n" + " ".join(map(str, range(1, 23))) + "\n")
+    proc = subprocess.run([sys.executable, "-m", "srlab.cli", "betti", str(path), "--json",
+                           "--ring"],
+                          env=_src_env(), capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["entries"] == [[0, 0, 1]]
+
+
+@pytest.mark.parametrize("field", ["2", "3", "q"])
+def test_betti_of_fourteen_vertex_sphere(tmp_path, field):
+    # one minimal nonface, the vertex set: one restriction, the whole sphere
+    path = tmp_path / "sphere12"
+    verts = range(1, 15)
+    path.write_text("V: 14\n" + "".join(" ".join(str(u) for u in verts if u != v) + "\n"
+                                        for v in verts))
+    proc = subprocess.run([sys.executable, "-m", "srlab.cli", "betti", str(path), "--json",
+                           "--field", field],
+                          env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["entries"] == [[0, 14, 1]]
+
+
 def test_report_past_the_size_bound_is_refused(tmp_path):
     # the boundary of the 23-simplex: refused before any link homology
     path = tmp_path / "sphere21"

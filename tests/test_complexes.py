@@ -246,6 +246,27 @@ class TestMinimalNonfaces:
     def test_against_subset_scan(self, c):
         assert minimal_nonfaces(c) == brute_minimal_nonfaces(c)
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_conventions_against_subset_scan(self, n):
+        # void: the empty set; irrelevant: every vertex; simplex: none;
+        # the simplex's boundary: the whole vertex set
+        full = (1 << n) - 1
+        expected = {
+            Complex.void(n): [()],
+            Complex.irrelevant(n): [(v,) for v in range(1, n + 1)],
+            Complex.simplex(n): [],
+            Complex(n, [full ^ (1 << v) for v in range(n)]): [tuple(range(1, n + 1))],
+        }
+        for c, nonfaces in expected.items():
+            assert minimal_nonfaces(c) == brute_minimal_nonfaces(c), c
+            if n >= 2:  # below 2 vertices the four complexes coincide
+                assert minimal_nonfaces(c) == nonfaces, c
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_seeded_against_subset_scan(self, n):
+        for c in seeded_complexes(n, 40, seed=3000 + n):
+            assert minimal_nonfaces(c) == brute_minimal_nonfaces(c), c
+
 
 class TestSkeletonAndCone:
     def test_skeleton_of_clique_complex(self, c5_graph):

@@ -53,6 +53,14 @@ MUTATIONS = [
      "key = (off, j)",
      "key = (off + 1, j)",
      "tests/test_betti.py::TestDualIdealTable::test_fixtures"),
+    ("lattice-drops-last-generator", "betti.py",
+     "for g in sorted(_minimal_nonface_masks(c)):",
+     "for g in sorted(_minimal_nonface_masks(c))[:-1]:",
+     "tests/test_betti.py::TestLatticeWalk::test_square_needs_both_generators"),
+    ("restriction-keeps-faces-outside-w", "homology.py",
+     "if f & w == f]",
+     "if f & w != f]",
+     "tests/test_betti.py::TestLatticeWalk::test_seeded[6-GF(2)]"),
     ("cone-test-on-every-family", "homology.py",
      "if apex > 0:",
      "if apex >= 0:",
