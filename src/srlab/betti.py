@@ -85,11 +85,12 @@ def hochster_betti(
     least 2 for isolated points.  ``dims_cached`` answers each W: by a
     lookup under the restricted family as given, or by homology memoized
     on the compressed shape.  On a miss of both, Delta's own boundary
-    columns inside W are reduced (``restriction_dims``), built at the
-    first miss.  The void complex is refused (its ideal would be the
-    unit ideal); the irrelevant complex works and yields the Koszul
-    table of the maximal ideal.  n is capped by ``DEFAULT_SIZE_BOUND``
-    (the lattice of the irrelevant complex has 2^n - 1 members).
+    columns inside W are reduced (``restriction_dims``), from positions
+    built at the first miss.  The void complex is refused (its ideal
+    would be the unit ideal); the irrelevant complex works and yields
+    the Koszul table of the maximal ideal.  n is capped by
+    ``DEFAULT_SIZE_BOUND`` (the lattice of the irrelevant complex has
+    2^n - 1 members).
     """
     if subject not in ("ideal", "ring"):
         raise ValueError(f"subject must be 'ideal' or 'ring', not {subject!r}")

@@ -303,16 +303,26 @@ def _minimal_nonface_masks(c: Complex) -> list[int]:
     t grows to t | b for every b in e, and a grown set is dropped only if
     it contains a kept one.  Grown sets never contain one another: t | b
     >= t' | b' with t' != t needs b in t' (else t' < t), but t' misses e.
-    No face set is built; the void complex gets the empty set and the
-    simplex none.
+    A kept set inside t | b meets e in b alone and lies in t otherwise,
+    so the kept sets are filed by their vertex in e, if they have just
+    one, and t | b is tested against the file of b only.  No face set is
+    built; the void complex gets the empty set and the simplex none.
     """
     full = (1 << c.n) - 1
     found = [0]
     for f in c.facet_masks:
         e = full ^ f
-        kept = [t for t in found if t & e]
-        grown = [t | b for t in found if not t & e for b in bits_of(e)]
-        found = kept + [g for g in grown if not any(k & g == k for k in kept)]
+        rest = [t for t in found if not t & e]
+        if not rest:
+            continue
+        found = [t for t in found if t & e]
+        through: dict[int, list[int]] = {}
+        for k in found:
+            b = k & e
+            if not b & (b - 1):
+                through.setdefault(b, []).append(k ^ b)
+        found += [t | b for b in bits_of(e) for t in rest
+                  if not any(s & t == s for s in through.get(b, ()))]
     return found
 
 

@@ -17,16 +17,19 @@ without eliminating; ``dims_over_field`` always eliminates.  Any other
 antichain is compressed onto its occupied vertices into the canonical
 key, so each shape is eliminated once.  ``restriction_dims`` eliminates
 the restrictions of one complex on that complex's own boundary columns,
-so a Betti table builds one face set, not one per shape.
+so a Betti table builds one face set, not one per shape; it keeps the
+positions of each face's faces one smaller and builds one size's
+columns at a time.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd
 
-from ._bits import antichain, compress_masks, faces_by_size_from_masks
+from ._bits import antichain, bits_of, compress_masks, faces_by_size_from_masks
 from .complexes import Complex
 
 
@@ -275,13 +278,29 @@ def _signed_boundary_rows(lower: list[int], upper: list[int]) -> list[list[int]]
     return rows
 
 
+def _bits_at(positions) -> int:
+    """The GF(2) column with ones at ``positions``."""
+    col = 0
+    for i in positions:
+        col |= 1 << i
+    return col
+
+
+def _signs_at(positions) -> dict[int, int]:
+    """The signed column of a face whose faces one smaller, lowest vertex
+    dropped first, sit at ``positions``."""
+    return {i: -1 if k & 1 else 1 for k, i in enumerate(positions)}
+
+
 def _kernel(field: FieldSpec):
-    """The column builder and the leading-row kernel ``clearing_dims`` uses
-    over ``field``: bitsets over GF(2), signed integer dicts otherwise."""
+    """What ``clearing_dims`` uses over ``field``: the column builder over
+    two face groups, the column of a face from the positions of its
+    faces one smaller, and the leading-row kernel.  Columns are bitsets
+    over GF(2) and signed integer dicts otherwise."""
     p = field.key
     if p == 2:
-        return _bit_columns, pivot_rows_gf2
-    return _signed_columns, lambda cols: _pivot_rows_exact(cols, p)
+        return _bit_columns, _bits_at, pivot_rows_gf2
+    return _signed_columns, _signs_at, lambda cols: _pivot_rows_exact(cols, p)
 
 
 def dims_over_field(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, ...]:
@@ -292,7 +311,7 @@ def dims_over_field(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, ...
     Q (key 0) hand signed integer-dict columns to ``_pivot_rows_exact``.
     """
     groups = faces_by_size_from_masks(facets)
-    build, pivot_rows = _kernel(field)
+    build, _, pivot_rows = _kernel(field)
     return clearing_dims([len(g) for g in groups],
                          lambda s, cleared: build(groups[s - 1], groups[s], cleared), pivot_rows)
 
@@ -302,25 +321,33 @@ def restriction_dims(facets: tuple[int, ...], field: FieldSpec):
     FieldSpec of the complex generated by ``facets`` restricted to w,
     indexed from degree -1.
 
-    The faces of the whole complex and their boundary columns are built
-    once, at the first call.  Each call hands ``clearing_dims`` the
-    columns of the faces inside w, in the whole complex's numbering: the
-    faces of a face inside w lie inside w, so those columns are the
-    boundary maps of the restriction, and no face closure is rebuilt.
+    The faces of the whole complex are built once, at the first call,
+    and with them, per size s, one flat array of the positions of each
+    face's s faces one smaller, lowest vertex dropped first.  Each call
+    turns the positions of the faces inside w that clearing leaves into
+    columns in the whole complex's numbering: the faces of a face inside
+    w lie inside w, so those are the boundary maps of the restriction,
+    and no face closure is rebuilt.  Positions, not columns, are kept
+    (a GF(2) column is a bitset as long as the group below it), so a
+    large complex holds one size's columns at a time, as in
+    ``dims_over_field``.
     """
-    build, pivot_rows = _kernel(field)
+    _, column, pivot_rows = _kernel(field)
     groups: list[list[int]] = []
-    cols: list[list] = []
+    below: list[array] = []
 
     def dims(w: int) -> tuple[int, ...]:
         if not groups:
             groups.extend(faces_by_size_from_masks(facets))
-            cols.extend([[], []] + [build(groups[s - 1], groups[s], 0)
-                                    for s in range(2, len(groups))])
+            below.extend([array('l'), array('l')])
+            for lower, upper in zip(groups[1:], groups[2:]):
+                idx = {f: i for i, f in enumerate(lower)}
+                below.append(array('l', [idx[f ^ b] for f in upper for b in bits_of(f)]))
         inside = [[i for i, f in enumerate(g) if f & w == f] for g in groups]
         return clearing_dims([len(x) for x in inside],
-                             lambda s, cleared: [cols[s][i] for i in inside[s]
-                                                 if not cleared >> i & 1], pivot_rows)
+                             lambda s, cleared: [column(below[s][i * s:i * s + s])
+                                                 for i in inside[s] if not cleared >> i & 1],
+                             pivot_rows)
     return dims
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -266,6 +268,13 @@ class TestMinimalNonfaces:
     def test_seeded_against_subset_scan(self, n):
         for c in seeded_complexes(n, 40, seed=3000 + n):
             assert minimal_nonfaces(c) == brute_minimal_nonfaces(c), c
+
+    def test_skeleta_and_their_duals(self):
+        # the 2-skeleton of the simplex on 12 vertices misses exactly the
+        # 4-sets, and its Alexander dual exactly the 9-sets
+        skeleton = Complex.from_facets(list(combinations(range(1, 13), 3)), n=12)
+        assert minimal_nonfaces(skeleton) == list(combinations(range(1, 13), 4))
+        assert minimal_nonfaces(alexander_dual(skeleton)) == list(combinations(range(1, 13), 9))
 
 
 class TestSkeletonAndCone:
