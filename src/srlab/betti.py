@@ -8,11 +8,12 @@ of minimal nonfaces (Gasharov-Peeva-Welker): any other Delta_W is a cone.
 Each restriction's homology comes from ``homology.dims_cached``, which
 looks the restricted family up as given before it tests for a cone or
 canonicalizes, and reduces Delta's own boundary columns inside W on a
-miss.  The table of the
-Alexander dual's ideal, ``dual_ideal_table``, is summed over the links
-of the faces of Delta instead, so the dual is never built.  Indexing is
-validated by the forced C4 complete-intersection example in the test
-suite before anything else is trusted.
+miss.  The table of the Alexander dual's ideal, ``dual_ideal_table``, is
+read off the link census of ``criteria.link_profile`` instead
+(``criteria.link_census``), so the dual is never built and no link
+homology is computed here.  Indexing is validated by the forced C4
+complete-intersection example in the test suite before anything else is
+trusted.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dfield
 
-from .complexes import Complex, _minimal_nonface_masks
+from .complexes import DEFAULT_SIZE_BOUND, Complex, _minimal_nonface_masks
+from .criteria import link_census
 from .homology import GF2, FieldSpec, dims_cached, restriction_dims
 
 #: Sentinel for check_ndp "all steps up to projdim must be linear".
 FULL_LINEARITY = math.inf
-
-DEFAULT_SIZE_BOUND = 22
 
 
 @dataclass(frozen=True)
@@ -126,12 +126,12 @@ def dual_ideal_table(c: Complex, field: FieldSpec = GF2) -> BettiTable:
 
     By Eagon and Reiner's form of Hochster's formula (Miller-Sturmfels,
     Cor. 5.12), beta_{i,sigma}(I_{Delta^vee}) = dim H~_{i-1}(lk(F)) when
-    F = [n] \\ sigma is a face of Delta, and 0 otherwise.  So the sum runs
-    over the faces F of Delta, each a ``dims_cached`` call on its link
-    family, adding to (i, n - |F|); the dual is never built.  dim of the
-    dual's ring is n minus the least size of a nonface of Delta.  The full
-    simplex is refused, as ``hochster_betti`` refuses its void dual; n is
-    capped by ``DEFAULT_SIZE_BOUND`` as there.
+    F = [n] \\ sigma is a face of Delta, and 0 otherwise.  So entry
+    (i, n - s) is ``criteria.link_census``'s dim H~_{i-1}(lk F) summed
+    over the faces F of size s; the dual is never built.  dim of the
+    dual's ring is n minus the least size of a nonface of Delta.  The
+    full simplex is refused, as ``hochster_betti`` refuses its void dual;
+    n is capped by ``DEFAULT_SIZE_BOUND`` as there.
     """
     if c == Complex.simplex(c.n):
         raise ValueError("the full simplex has a void Alexander dual, "
@@ -139,19 +139,9 @@ def dual_ideal_table(c: Complex, field: FieldSpec = GF2) -> BettiTable:
     if c.n > DEFAULT_SIZE_BOUND:
         raise ValueError(f"ambient size {c.n} exceeds bound {DEFAULT_SIZE_BOUND}")
 
-    ideal: dict[tuple[int, int], int] = {}
-    facet_masks = c.facet_masks
-    sizes = [0] * (c.n + 1)  # faces of Delta by size
-    for f in c.face_masks():
-        sizes[f.bit_count()] += 1
-        j = c.n - f.bit_count()
-        dims = dims_cached([g ^ f for g in facet_masks if g & f == f], field)
-        for off, value in enumerate(dims):  # off = i: H~_{i-1} of the link
-            if value:
-                key = (off, j)
-                ideal[key] = ideal.get(key, 0) + value
-
-    least_nonface = next(k for k, count in enumerate(sizes) if count < math.comb(c.n, k))
+    ideal = {(i + 1, c.n - size): value for (size, i), value in link_census(c, field).items()}
+    f = c.f_vector()  # (f_-1, f_0, ...); () for the void complex
+    least_nonface = next((k for k, count in enumerate(f) if count < math.comb(c.n, k)), len(f))
     return BettiTable("ideal", c.n, c.n - least_nonface, field, ideal)
 
 

@@ -25,6 +25,9 @@ from ._bits import (
     submasks_one_less,
 )
 
+#: the largest ambient size that the dual, Betti tables and reports accept
+DEFAULT_SIZE_BOUND = 22
+
 
 class ParseError(ValueError):
     """Raised for malformed facet-list / edge-list documents."""
@@ -337,8 +340,11 @@ def alexander_dual(c: Complex) -> Complex:
 
     Facets of the dual are complements of minimal nonfaces; in
     particular dual(void) is the full simplex and dual(full simplex) is
-    void.
+    void.  n is capped by ``DEFAULT_SIZE_BOUND``: the dual of one edge
+    on n vertices has n - 2 facets of n - 1 vertices each.
     """
+    if c.n > DEFAULT_SIZE_BOUND:
+        raise ValueError(f"ambient size {c.n} exceeds bound {DEFAULT_SIZE_BOUND}")
     full = (1 << c.n) - 1
     duals = [full ^ m for m in _minimal_nonface_masks(c)]
     return Complex(c.n, duals, _trusted=True) if duals else Complex.void(c.n)

@@ -12,12 +12,14 @@ it does.  Then
     i < min(r-1, dim link F).
 
 The recursion below walks vertex links only (faces of size >= 1
-correspond to faces of vertex links), memoizing three numbers per shape:
-the largest size of an unclean face, the smallest homological degree
-violating a Serre bound, and the depth (Hochster's local-cohomology
-formula).  The Ext profile reads link homology off
-``betti.dual_ideal_table``.  Conventions: the void and irrelevant
-complexes are pure and Cohen-Macaulay; dim(empty face) = -1.
+correspond to faces of vertex links), memoizing per shape a census:
+dim H~_i(link F) summed over the faces F of one size and one link
+dimension.  The triple read off it (the largest size of an unclean face,
+the smallest homological degree violating a Serre bound, and the depth by
+Hochster's local-cohomology formula) serves the predicates; the Ext
+profile here and ``betti.dual_ideal_table`` read the census itself,
+through ``link_census``.  Conventions: the void and irrelevant complexes
+are pure and Cohen-Macaulay; dim(empty face) = -1.
 """
 
 from __future__ import annotations
@@ -25,14 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._bits import bits_of, compress_masks
-from .betti import DEFAULT_SIZE_BOUND, dual_ideal_table
-from .complexes import Complex
+from .complexes import DEFAULT_SIZE_BOUND, Complex
 from .homology import GF2, FieldSpec, dims_cached
 
 #: sentinel for "no Serre violation at any face" (plays nicely with min()).
 NO_VIOLATION = 1 << 30
 
-_PROFILE_CACHE: dict[tuple, tuple[int, int, int]] = {}
+#: (max unclean size, Serre violation, depth, census); see ``link_profile``
+Profile = tuple[int, int, int, tuple[tuple[int, int], ...]]
+
+_PROFILE_CACHE: dict[tuple, Profile] = {}
 _PROFILE_CACHE_LIMIT = 400_000
 
 
@@ -40,9 +44,17 @@ def clear_profile_cache() -> None:
     _PROFILE_CACHE.clear()
 
 
-def link_profile(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, int, int]:
-    """(max_unclean, serre_viol, depth) for the complex generated by ``facets``.
+def link_profile(facets: tuple[int, ...], field: FieldSpec) -> Profile:
+    """(max_unclean, serre_viol, depth, census) for the complex generated
+    by ``facets``.
 
+    census: (key, count) pairs, one per nonzero count, where count is
+    dim H~_i(link F) summed over the faces F with |F| = s and
+    dim(link F) = l, and key is s << 16 | (l + 1) << 8 | (i + 1).  A face
+    of size s >= 1 is a face of size s - 1 in the links of its s
+    vertices, with the same link, so the census is the complex's own
+    homology at size 0 plus its vertex links' censuses moved up one size
+    and divided by s.  The rest is read off it:
     max_unclean: largest |F| over unclean faces F, or -1 if all clean.
     serre_viol: min over faces F of the smallest i < dim(link F) with
     H~_i(link F) != 0, or NO_VIOLATION.
@@ -50,46 +62,47 @@ def link_profile(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, int, i
 
     ``facets`` must be a nonempty antichain ((0,) for irrelevant).
     """
-    canon, _ = compress_masks(facets)
+    canon, width = compress_masks(facets)  # on the vertices 0..width-1
     key = (field.key, canon)
     hit = _PROFILE_CACHE.get(key)
     if hit is not None:
         return hit
 
     dims = dims_cached(canon, field)
-    top = len(dims) - 2  # = dim of the complex
-    low = NO_VIOLATION  # the least degree i >= -1 with H~_i != 0
-    for i, h in enumerate(dims):
-        if h:
-            low = i - 1
-            break
-    # below the top degree, the empty face is unclean
-    max_unclean, serre_viol = (0, low) if low < top else (-1, NO_VIOLATION)
-    depth = low + 1  # the empty face's term
+    own = (len(dims) - 1) << 8  # the empty face: its link is the complex
+    census = {own | off: h for off, h in enumerate(dims) if h}
+    merged: dict[int, int] = {}
+    for b in bits_of((1 << width) - 1):
+        for k, h in link_profile(tuple(f ^ b for f in canon if f & b), field)[3]:
+            merged[k] = merged.get(k, 0) + h
+    for k, h in merged.items():
+        census[k + (1 << 16)] = h // ((k >> 16) + 1)  # one size up
 
-    occupied = 0
-    for f in canon:
-        occupied |= f
-    for b in bits_of(occupied):
-        sub = tuple(f ^ b for f in canon if f & b)
-        mb, sv, dl = link_profile(sub, field)
-        if mb >= 0 and mb + 1 > max_unclean:
-            max_unclean = mb + 1
-        if sv < serre_viol:
-            serre_viol = sv
-        if dl + 1 < depth:
-            depth = dl + 1
+    unclean = [k for k in census if k & 255 < k >> 8 & 255]  # i < dim(link F)
+    max_unclean = max(unclean) >> 16 if unclean else -1
+    serre_viol = min([k & 255 for k in unclean]) - 1 if unclean else NO_VIOLATION
+    depth = min([(k >> 16) + (k & 255) for k in census])
 
-    result = (max_unclean, serre_viol, depth)
+    result = (max_unclean, serre_viol, depth, tuple(census.items()))
     if len(_PROFILE_CACHE) < _PROFILE_CACHE_LIMIT:
         _PROFILE_CACHE[key] = result
     return result
 
 
-def _profile(c: Complex, field: FieldSpec) -> tuple[int, int, int]:
+def _profile(c: Complex, field: FieldSpec) -> Profile:
     if c.is_void:
-        return (-1, NO_VIOLATION, NO_VIOLATION)
+        return (-1, NO_VIOLATION, NO_VIOLATION, ())
     return link_profile(c.facet_masks, field)
+
+
+def link_census(c: Complex, field: FieldSpec = GF2) -> dict[tuple[int, int], int]:
+    """dim H~_i(link F) summed over the faces F of c with |F| = s, under
+    (s, i): the ``link_profile`` census with the link dimensions summed out."""
+    out: dict[tuple[int, int], int] = {}
+    for k, h in _profile(c, field)[3]:
+        key = (k >> 16, (k & 255) - 1)
+        out[key] = out.get(key, 0) + h
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +207,14 @@ class ExtDimProfile:
 
 
 def ext_dim_profile(c: Complex, field: FieldSpec = GF2) -> ExtDimProfile:
-    """Ext dimensions of a proper complex, with the link homology read off
-    the Betti table of the Alexander dual's ideal: entry (i, j) sums
-    dim H~_{i-1}(lk F) over the faces F of size n - j.  The full simplex,
-    whose dual is void, has the one term (0, 0), from its top face."""
+    """Ext dimensions of a proper complex, read off ``link_census``: each
+    face F with H~_i(lk F) != 0 puts |F| into dimext[|F| + 1 + i]."""
     if c.kind != "proper":
         raise ValueError("the Ext profile needs a proper complex")
     d = c.dim + 1
     dimext: dict[int, int | None] = {i: None for i in range(1, d + 1)}
-    terms = [(0, 0)] if c == Complex.simplex(c.n) else dual_ideal_table(c, field).entries
-    for i, j in terms:
-        size = c.n - j  # some face F of this size has H~_{i-1}(lk F) != 0
-        dimext[i + size] = max(size, dimext[i + size] or 0)
+    for size, i in link_census(c, field):
+        dimext[size + 1 + i] = max(size, dimext[size + 1 + i] or 0)
     return ExtDimProfile(n=c.n, d=d, dimext=dimext)
 
 
@@ -272,6 +281,7 @@ __all__ = [
     "clear_profile_cache",
     "ext_dim_profile",
     "is_buchsbaum",
+    "link_census",
     "link_profile",
     "max_serre",
     "min_cm_t",

@@ -342,6 +342,10 @@ def _check_subadd(c: Complex, field: FieldSpec) -> list[str]:
 
 
 def _check_ext_profile(c: Complex, field: FieldSpec) -> list[str]:
+    """The Ext profile's characterizations of purity, S_r, CM_t and the
+    top Ext dimension on any proper complex; the singularity-dimension one
+    on pure complexes only, where it holds (an edge plus an isolated
+    vertex has CM links but a nonzero low Ext module)."""
     d = _dim_ring(c)
     prof = ext_dim_profile(c, field)
     out = []
@@ -353,7 +357,7 @@ def _check_ext_profile(c: Complex, field: FieldSpec) -> list[str]:
         if prof.serre_via_ext(r) != satisfies_serre(c, r, field):
             out.append(f"Ext S_{r} characterization disagrees")
     for m in range(-1, d + 1):
-        if prof.singdim_lt_via_ext(m) != singularity_dimension_lt(c, m, field):
+        if c.is_pure and prof.singdim_lt_via_ext(m) != singularity_dimension_lt(c, m, field):
             out.append(f"Ext singularity-dim<{m} characterization disagrees")
     for t in range(0, d + 1):
         if prof.cmt_via_ext(t, c.is_pure) != cm_t(c, t, field):

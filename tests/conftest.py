@@ -8,6 +8,7 @@ permutations, and the enumeration counts come from inclusion-exclusion.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations, permutations
 from math import gcd
 
@@ -99,21 +100,31 @@ def brute_minimal_nonfaces(c: Complex) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda t: (len(t), t))
 
 
-def ext_dimext_by_face_scan(c: Complex, field: FieldSpec) -> dict[int, int | None]:
-    """dimext[i] = max |F| over faces F with H~_{i-|F|-1}(lk F) != 0, for
-    i = 1..d (None when no face qualifies): every subset of [n] is tested
+def census_by_face_scan(c: Complex, field: FieldSpec) -> Counter:
+    """dim H~_i(lk F) summed over the faces F of c, keyed by
+    (|F|, dim lk F, i), nonzero sums only: every subset of [n] is tested
     for being a face, and each face's link is eliminated uncached."""
-    d = c.dim + 1
-    dimext: dict[int, int | None] = {i: None for i in range(1, d + 1)}
+    census: Counter = Counter()
     for f in range(1 << c.n):
         if not c.has_face_mask(f):
             continue
-        size = f.bit_count()
-        dims = dims_over_field(tuple(g ^ f for g in c.facet_masks if g & f == f), field)
-        for deg, value in enumerate(dims, start=-1):
-            i = deg + size + 1
-            if value and 1 <= i <= d and (dimext[i] is None or size > dimext[i]):
-                dimext[i] = size
+        link = tuple(g ^ f for g in c.facet_masks if g & f == f)
+        top = max(g.bit_count() for g in link) - 1
+        for deg, value in enumerate(dims_over_field(link, field), start=-1):
+            if value:
+                census[f.bit_count(), top, deg] += value
+    return census
+
+
+def ext_dimext_by_face_scan(c: Complex, field: FieldSpec) -> dict[int, int | None]:
+    """dimext[i] = max |F| over faces F with H~_{i-|F|-1}(lk F) != 0, for
+    i = 1..d (None when no face qualifies), read off the face-scan census."""
+    d = c.dim + 1
+    dimext: dict[int, int | None] = {i: None for i in range(1, d + 1)}
+    for size, _, deg in census_by_face_scan(c, field):
+        i = deg + size + 1
+        if 1 <= i <= d and (dimext[i] is None or size > dimext[i]):
+            dimext[i] = size
     return dimext
 
 

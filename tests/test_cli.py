@@ -248,15 +248,19 @@ def test_betti_of_fourteen_vertex_sphere(tmp_path, field):
 
 
 def test_report_past_the_size_bound_is_refused(tmp_path):
-    # the boundary of the 23-simplex: refused before any link homology
-    path = tmp_path / "sphere21"
+    # the boundary of the 23-simplex: refused before any link homology;
+    # one edge on 100,000 vertices: its dual (99,998 facets of 99,999
+    # vertices) refused before any minimal nonface is found
+    sphere = tmp_path / "sphere21"
     verts = range(1, 24)
-    path.write_text("V: 23\n" + "".join(" ".join(str(u) for u in verts if u != v) + "\n"
-                                        for v in verts))
-    proc = subprocess.run([sys.executable, "-m", "srlab.cli", "check", str(path), "--report",
-                           "--field", "q"],
-                          env=_src_env(), capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2 and "exceeds bound 22" in proc.stderr, proc.stderr
+    sphere.write_text("V: 23\n" + "".join(" ".join(str(u) for u in verts if u != v) + "\n"
+                                          for v in verts))
+    edge = tmp_path / "edge"
+    edge.write_text("V: 100000\n1 2\n")
+    for args in (["check", str(sphere), "--report", "--field", "q"], ["dual", str(edge)]):
+        proc = subprocess.run([sys.executable, "-m", "srlab.cli", *args],
+                              env=_src_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and "exceeds bound 22" in proc.stderr, (args, proc.stderr)
 
 
 def _src_env():

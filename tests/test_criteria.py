@@ -15,6 +15,7 @@ from srlab import (
     alexander_dual,
     cm_t,
     cone,
+    dual_ideal_table,
     ext_dim_profile,
     hochster_betti,
     homological_invariants,
@@ -29,17 +30,21 @@ from srlab import (
     skeleton_graph,
     is_cycle_graph,
 )
+from srlab import betti, criteria
+from srlab.criteria import NO_VIOLATION, clear_profile_cache, link_profile
 from srlab.harness import ComplexDigest
 
 from conftest import (
     all_complex_facets,
     all_pure_complexes,
+    census_by_face_scan,
     cycle_complex,
     ext_dimext_by_face_scan,
     gamma_complex,
     seeded_complexes,
 )
 from test_complexes import small_complexes
+from test_homology import RP2_6
 
 
 class TestReisner:
@@ -180,9 +185,9 @@ class TestExtProfile:
 
     @pytest.mark.parametrize("field", [GF2, FieldSpec.gf(3), QQ], ids=str)
     def test_dual_table_matches_face_scan(self, field):
-        """The profile read off the dual's Betti table against the face
-        scan, on every complex with n <= 4 (full simplices included) and
-        on seeded complexes with n = 5..7."""
+        """The profile read off the link census against the face scan, on
+        every complex with n <= 4 (full simplices included) and on seeded
+        complexes with n = 5..7."""
         complexes = [Complex(n, facets) for n in range(1, 5) for facets in all_complex_facets(n)]
         complexes += [c for n in range(5, 8) for c in seeded_complexes(n, 40, seed=70 + n)]
         proper = [c for c in complexes if c.kind == "proper"]
@@ -216,6 +221,52 @@ class TestExtProfile:
         assert singularity_dimension_lt(c, 0) is True
         assert prof.singdim_lt_via_ext(0) is False
         assert prof.dimext == {1: 1, 2: 2}
+
+
+def _triple_of(census: Counter) -> tuple[int, int, int]:
+    """(max unclean size, Serre violation, depth) read off a census keyed
+    by (|F|, dim lk F, i)."""
+    unclean = [(size, deg) for size, top, deg in census if deg < top]
+    return (max((size for size, _ in unclean), default=-1),
+            min((deg for _, deg in unclean), default=NO_VIOLATION),
+            min(size + 1 + deg for size, _, deg in census))
+
+
+class TestLinkCensus:
+    @pytest.mark.parametrize("field", [GF2, FieldSpec.gf(3), QQ], ids=str)
+    def test_matches_face_scan(self, field):
+        """The census of ``link_profile``, and its triple, against the face
+        scan on every nonvoid complex with n <= 4 (non-pure included), on
+        seeded complexes with n = 5..8, and on RP^2_6."""
+        complexes = [Complex(n, facets) for n in range(1, 5) for facets in all_complex_facets(n)]
+        complexes += [c for n in range(5, 9) for c in seeded_complexes(n, 15, seed=90 + n)
+                      if not c.is_void]
+        complexes.append(Complex.from_facets(RP2_6, n=6))
+        assert sum(not c.is_pure for c in complexes) > 90
+        for c in complexes:
+            *triple, census = link_profile(c.facet_masks, field)
+            oracle = census_by_face_scan(c, field)
+            assert Counter({(k >> 16, (k >> 8 & 255) - 1, (k & 255) - 1): v
+                            for k, v in census}) == oracle, c
+            assert tuple(triple) == _triple_of(oracle), c
+
+    def test_readers_compute_no_link_homology(self, monkeypatch, mt6):
+        """After a warm ``link_profile``, the dual's table and the Ext
+        profile of the same complex make no ``dims_cached`` call."""
+        calls = []
+
+        def counted(dims_cached):
+            return lambda *args: calls.append(args) or dims_cached(*args)
+
+        for module in (criteria, betti):
+            monkeypatch.setattr(module, "dims_cached", counted(module.dims_cached))
+        clear_profile_cache()
+        link_profile(mt6.facet_masks, GF2)
+        assert calls  # the counter sees the walk's own homology
+        calls.clear()
+        dual_ideal_table(mt6, GF2)
+        ext_dim_profile(mt6, GF2)
+        assert calls == []
 
 
 class TestGammaFamily:

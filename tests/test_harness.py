@@ -619,6 +619,17 @@ def test_dual_adj_without_the_dual(n):
         assert hmod._dual_adj(c) == skeleton_graph(alexander_dual(c)).adj, facets
 
 
+def test_ext_profile_checker_passes_non_pure_complexes():
+    # the singularity-dimension characterization holds on pure complexes
+    # only; the registered checker must not report it elsewhere
+    check = THEOREMS["ext-profile"].checker
+    proper = [Complex(n, facets) for n in range(1, 5) for facets in all_complex_facets(n)
+              if facets != (0,)]
+    assert sum(not c.is_pure for c in proper) == 75
+    for c in proper:
+        assert check(c, GF2) == [], c
+
+
 def _serre_threshold_by_loop(c: Complex, field: FieldSpec) -> int:
     """The least t in 0..d with S_{d-t}, by one satisfies_serre call per t."""
     d = c.dim + 1

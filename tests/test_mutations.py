@@ -50,8 +50,8 @@ MUTATIONS = [
      "contrib = contrib",
      f"{KERNELS}::test_complement_fold[5]"),
     ("dual-table-degree-shifted", "betti.py",
-     "key = (off, j)",
-     "key = (off + 1, j)",
+     "ideal = {(i + 1, c.n - size): value",
+     "ideal = {(i + 2, c.n - size): value",
      "tests/test_betti.py::TestDualIdealTable::test_fixtures"),
     ("lattice-drops-last-generator", "betti.py",
      "for g in sorted(_minimal_nonface_masks(c)):",
@@ -74,17 +74,21 @@ MUTATIONS = [
      "col |= 1 << idx[f ^ b] if m else 0",
      "tests/test_homology.py::TestRankExact::test_gf2_matches_bit_packed_kernel"),
     ("unclean-link-size-short-by-one", "criteria.py",
-     "max_unclean = mb + 1",
-     "max_unclean = mb",
+     "max_unclean = max(unclean) >> 16 if",
+     "max_unclean = (max(unclean) >> 16) - 1 if",
      "tests/test_criteria.py::TestCmT::test_d6_is_cm2_not_cm1"),
     ("ext-profile-index-shifted", "criteria.py",
-     "dimext[i + size] = max(",
-     "dimext[i + size - 1] = max(",
+     "dimext[size + 1 + i] = max(size, dimext[size + 1 + i]",
+     "dimext[size + i] = max(size, dimext[size + i]",
      "tests/test_criteria.py::TestExtProfile::test_dual_table_matches_face_scan[GF(2)]"),
     ("depth-own-term-short-by-one", "criteria.py",
-     "depth = low + 1",
-     "depth = low",
+     "depth = min([(k >> 16) + (k & 255) for",
+     "depth = min([(k >> 16) + (k & 255) - 1 for",
      "tests/test_criteria.py::TestPropertyReport::test_dualc5_report"),
+    ("census-divided-by-face-size-off-by-one", "criteria.py",
+     "h // ((k >> 16) + 1)",
+     "h // ((k >> 16) + 2)",
+     "tests/test_criteria.py::TestLinkCensus::test_matches_face_scan[GF(2)]"),
     ("engine-depth-own-term-short-by-one", "_engine.py",
      "self.link_digest(s, mb, sv, sv + 1)",
      "self.link_digest(s, mb, sv, sv)",
