@@ -6,14 +6,15 @@ function of that sparse table, computed without ever materializing the
 polynomial ring.  The sum runs over the LCM lattice of I_Delta, the unions
 of minimal nonfaces (Gasharov-Peeva-Welker): any other Delta_W is a cone.
 Each restriction's homology comes from ``homology.dims_cached``, which
-looks the restricted family up as given before it tests for a cone or
-canonicalizes, and reduces Delta's own boundary columns inside W on a
-miss.  The table of the Alexander dual's ideal, ``dual_ideal_table``, is
-read off the link census of ``criteria.link_profile`` instead
-(``criteria.link_census``), so the dual is never built and no link
-homology is computed here.  Indexing is validated by the forced C4
-complete-intersection example in the test suite before anything else is
-trusted.
+looks the restricted family up as given, then by its shape, and on a miss
+of both strips it by strong collapses to its core, the restriction to a
+smaller W'; only a core of more than one vertex is eliminated, on
+Delta's own boundary columns inside W'.  The table of the Alexander
+dual's ideal, ``dual_ideal_table``, is read off the link census of
+``criteria.link_profile`` instead (``criteria.link_census``), so the dual
+is never built and no link homology is computed here.  Indexing is
+validated by the forced C4 complete-intersection example in the test
+suite before anything else is trusted.
 """
 
 from __future__ import annotations
@@ -84,9 +85,12 @@ def hochster_betti(
     for the full simplex, which has none, and has every W of size at
     least 2 for isolated points.  ``dims_cached`` answers each W: by a
     lookup under the restricted family as given, or by homology memoized
-    on the compressed shape.  On a miss of both, Delta's own boundary
-    columns inside W are reduced (``restriction_dims``), from positions
-    built at the first miss.  The void complex is refused (its ideal
+    on the compressed shape.  On a miss of both, strong collapses strip
+    Delta_W to its core, which is Delta_W' for the support W' of the
+    core.  A core of one vertex is acyclic; any other is reduced on
+    Delta's own boundary columns inside W' (``restriction_dims``, handed
+    to ``dims_cached`` as its ``eliminate``), from positions built at the
+    first such miss.  The void complex is refused (its ideal
     would be the unit ideal); the irrelevant complex works and yields
     the Koszul table of the maximal ideal.  n is capped by
     ``DEFAULT_SIZE_BOUND`` (the lattice of the irrelevant complex has
@@ -109,7 +113,7 @@ def hochster_betti(
     restricted = restriction_dims(facet_masks, field)
     for w in lattice:
         j = w.bit_count()
-        dims = dims_cached([f & w for f in facet_masks], field, lambda: restricted(w))
+        dims = dims_cached([f & w for f in facet_masks], field, restricted)
         for off, value in enumerate(dims):  # off = degree + 1; i >= 0 when value
             if value:
                 key = (j - off - 1, j)

@@ -11,15 +11,19 @@ fraction-free kernel on signed integer dicts (``_pivot_rows_exact``).
 ``dims_cached`` is the memoized front end, with two keys.  The labelled
 key is the family of masks as given, sorted and deduplicated, so a
 repeated restriction or link costs one lookup.  On a miss of that key
-it cuts the family to its antichain.  A cone (maximal members sharing
-a vertex) is acyclic over every field, so its dims are written down
-without eliminating; ``dims_over_field`` always eliminates.  Any other
-antichain is compressed onto its occupied vertices into the canonical
-key, so each shape is eliminated once.  ``restriction_dims`` eliminates
-the restrictions of one complex on that complex's own boundary columns,
-so a Betti table builds one face set, not one per shape; it keeps the
-positions of each face's faces one smaller and builds one size's
-columns at a time.
+it cuts the family to its antichain and compresses that onto its
+occupied vertices into the canonical key.  A shape met for the first
+time is shrunk by strong collapses first (``_strong_core``): a vertex
+all of whose facets hold one other vertex is deleted, which keeps the
+homotopy type (Barmak-Minian).  A core of one vertex is acyclic over
+every field, so its dims are written down without eliminating, and a
+cone is the one-step case; ``dims_over_field`` always eliminates.  Any
+other core is eliminated once per canonical shape.  ``restriction_dims``
+eliminates the restrictions of one complex on that complex's own
+boundary columns, so a Betti table builds one face set, not one per
+shape; since a core is the restriction to its own vertices, it serves
+collapsed restrictions too.  It keeps the positions of each face's faces
+one smaller and builds one size's columns at a time.
 """
 
 from __future__ import annotations
@@ -365,6 +369,67 @@ def clear_homology_cache() -> None:
     _LABELLED.clear()
 
 
+def _strong_core(family: tuple[int, ...]) -> tuple[int, ...]:
+    """The antichain left when strong collapses strip ``family`` (an
+    antichain) of dominated vertices until none is left.
+
+    A vertex u is dominated by v != u when every facet through u holds
+    v; deleting u is then a strong collapse, which keeps the homotopy
+    type, so homology over every field (Barmak-Minian, Discrete Comput.
+    Geom. 47, 2012).  With M(x) the set of members through x, each pass
+    drops every u for which some v != u in all of M(u) has M(v) strictly
+    larger than M(u), or equal with v the larger label.  Two vertices
+    with M(u) = M(v) dominate each other, and the label keeps one of
+    them.  This is sound for all the dropped vertices at once: v in
+    every member through u gives M(v) >= M(u), so (M, label) grows
+    strictly along u, v, the dominator of v, ..., and domination is
+    transitive; the chain ends at a kept vertex s that dominates u.
+    Deleting the dropped vertices one at a time in any order, a face
+    through u of what is left lies in a facet of the family through u,
+    which holds s, so every facet left through u holds s: each deletion
+    is a strong collapse.  Members that are not maximal only shrink the
+    intersection of the members through u, so over a nested family the
+    rule finds fewer dominated vertices but stays sound.
+
+    The members left by a pass are cut to their antichain for the next.
+    When none of them is absorbed there, the walk ends: each member
+    through a kept u has lost the dropped vertices only, so the new
+    intersection is the old one less those, and the old one held, beside
+    u, only twins of u with smaller labels, all dropped.  A single
+    member is a simplex, whose core is its largest vertex.  The result
+    is the restriction of the family to its own support.
+    """
+    core = family
+    while len(core) > 1:
+        meet: dict[int, int] = {}   # vertex bit -> intersection of the members through it
+        for f in core:
+            m = f
+            while m:
+                b = m & -m
+                m ^= b
+                meet[b] = meet.get(b, f) & f
+        drop = 0
+        for u, m in meet.items():
+            others = m ^ u          # the vertices that dominate u
+            if others > u:
+                drop |= u
+                continue
+            while others:           # smaller labels: u stays if each is its twin
+                v = others & -others
+                others ^= v
+                if not meet[v] & u:
+                    drop |= u
+                    break
+        if not drop:
+            return core
+        left = antichain([f & ~drop for f in core])
+        if len(left) == len(core):
+            return left
+        core = left
+    f = core[0]
+    return (1 << f.bit_length() - 1,) if f else core
+
+
 def dims_cached(facets, field: FieldSpec, eliminate=None) -> tuple[int, ...]:
     """Homology dims of the complex generated by a family of masks, memoized.
 
@@ -372,15 +437,21 @@ def dims_cached(facets, field: FieldSpec, eliminate=None) -> tuple[int, ...]:
     up under its labelled key ``(field.key, sorted distinct members)``,
     so the repeated restrictions and links of one complex cost a lookup.
     On a miss the family is cut to its antichain, which leaves homology
-    as it is.  An antichain whose members share a vertex is a cone: its
-    dims are all 0 and it is not canonicalized.  Any other antichain is
-    compressed onto its occupied vertices and eliminated once per
-    canonical key in ``_CACHE``: by ``eliminate()`` when the caller
-    passes one (``hochster_betti`` hands over a reduction of its
-    complex's own columns inside W), else by ``dims_over_field`` on the
-    compressed shape.  A canonical family's two keys
-    coincide, so it is stored once, in ``_CACHE``; cones and the other
-    families go to ``_LABELLED``, which is emptied when it reaches
+    as it is, and compressed onto its occupied vertices into the
+    canonical key of ``_CACHE``.  A canonical miss is shrunk to its
+    ``_strong_core``.  A core of one vertex (a cone's, for one) is
+    acyclic: its dims are all 0, up to the family's length, and are
+    stored under the labelled key alone.  Any other core is eliminated
+    once per canonical key of its own: by ``eliminate(support)`` when the
+    caller passes one, with support the mask of the core's vertices
+    (``hochster_betti`` hands over the reduction of its complex's own
+    columns inside a vertex set, and a core is its restriction to the
+    support), else by ``dims_over_field`` on the compressed core.  The
+    core's dims are padded with zeros to the family's length, which
+    ``criteria.link_profile`` reads as the dimension, and stored under
+    the family's canonical key too.  A canonical family's two keys
+    coincide, so it is stored once, in ``_CACHE``; the other families go
+    to ``_LABELLED``, which is emptied when it reaches
     ``_LABELLED_LIMIT`` entries, so that a long session keeps storing
     its newest families.
     """
@@ -390,21 +461,30 @@ def dims_cached(facets, field: FieldSpec, eliminate=None) -> tuple[int, ...]:
         return hit
     family = key[1]
     top = antichain(family)
-    apex = -1
-    for f in top:
-        apex &= f
-    if apex > 0:
-        dims = (0,) * (max(map(int.bit_count, top)) + 1)
-    else:
-        canon, _ = compress_masks(top)
-        ckey = (field.key, canon)
-        dims = _CACHE.get(ckey)
-        if dims is None:
-            dims = eliminate() if eliminate else dims_over_field(canon, field)
-            if len(_CACHE) < _CACHE_LIMIT:
-                _CACHE[ckey] = dims
-        if canon == family:
-            return dims
+    canon, _ = compress_masks(top)
+    ckey = (field.key, canon)
+    dims = _CACHE.get(ckey)
+    if dims is None:
+        core = _strong_core(top)
+        length = max(map(int.bit_count, top)) + 1
+        if len(core) == 1 and core[0]:   # one vertex; (0,) is the irrelevant complex
+            dims = (0,) * length
+        else:
+            core_key = ckey if core == top else (field.key, compress_masks(core)[0])
+            dims = _CACHE.get(core_key)
+            if dims is None:
+                support = 0
+                for f in core:
+                    support |= f
+                dims = eliminate(support) if eliminate else dims_over_field(core_key[1], field)
+                if len(_CACHE) < _CACHE_LIMIT:
+                    _CACHE[core_key] = dims
+            if core_key is not ckey:
+                dims += (0,) * (length - len(dims))
+                if len(_CACHE) < _CACHE_LIMIT:
+                    _CACHE[ckey] = dims
+            if canon == family:
+                return dims
     if len(_LABELLED) >= _LABELLED_LIMIT:
         _LABELLED.clear()
     _LABELLED[key] = dims

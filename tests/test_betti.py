@@ -394,6 +394,7 @@ class TestDimsCachedFamilies:
         ((0b011, 0b101, 0b010), (0, 0, 0)),                # a cone on 1 with 2 nested
         ((0b110, 0b011, 0b101, 0b001, 0, 0b101), (0, 0, 1)),  # a triangle's boundary
         ((1 << 9, 1 << 3, 0), (0, 1)),                     # two scattered points
+        ((0b0111, 0b1110), (0, 0, 0, 0)),                  # two triangles on the edge {2, 3}
     ])
     def test_examples(self, family, dims):
         for field in FIELDS:

@@ -61,10 +61,14 @@ MUTATIONS = [
      "if f & w == f]",
      "if f & w != f]",
      "tests/test_betti.py::TestLatticeWalk::test_seeded[6-GF(2)]"),
-    ("cone-test-on-every-family", "homology.py",
-     "if apex > 0:",
-     "if apex >= 0:",
+    ("collapse-drops-both-twins", "homology.py",
+     "if others > u:",
+     "if others:",
      "tests/test_betti.py::TestDimsCachedFamilies::test_examples"),
+    ("collapsed-dims-not-padded", "homology.py",
+     "dims += (0,) * (length - len(dims))",
+     "dims = dims",
+     "tests/test_criteria.py::TestLinkCensus::test_matches_face_scan[GF(2)]"),
     ("clearing-marks-wrong-columns", "homology.py",
      "cleared = pivot_rows(columns(s, cleared))",
      "cleared = pivot_rows(columns(s, cleared)) << 1",
