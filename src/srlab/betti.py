@@ -8,11 +8,12 @@ of minimal nonfaces (Gasharov-Peeva-Welker): any other Delta_W is a cone.
 Each restriction's homology comes from ``homology.dims_cached``, which
 looks the restricted family up as given, then by its shape, and on a miss
 of both strips it by strong collapses to its core, the restriction to a
-smaller W'; only a core of more than one vertex is eliminated, on
-Delta's own boundary columns inside W'.  The table of the Alexander
-dual's ideal, ``dual_ideal_table``, is read off the link census of
-``criteria.link_profile`` instead (``criteria.link_census``), so the dual
-is never built and no link homology is computed here.  Indexing is
+smaller W'; only a core of more than one vertex is eliminated, by
+``homology.dims_over_field`` as every other homology query is.  The
+table of the Alexander dual's ideal, ``dual_ideal_table``, is read off
+the link census of ``criteria.link_profile`` instead
+(``criteria.link_census``), so the dual is never built and no link
+homology is computed here.  Indexing is
 validated by the forced C4 complete-intersection example in the test
 suite before anything else is trusted.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field as dfield
 
 from .complexes import DEFAULT_SIZE_BOUND, Complex, _minimal_nonface_masks
 from .criteria import link_census
-from .homology import GF2, FieldSpec, dims_cached, restriction_dims
+from .homology import GF2, FieldSpec, dims_cached
 
 #: Sentinel for check_ndp "all steps up to projdim must be linear".
 FULL_LINEARITY = math.inf
@@ -87,13 +88,11 @@ def hochster_betti(
     lookup under the restricted family as given, or by homology memoized
     on the compressed shape.  On a miss of both, strong collapses strip
     Delta_W to its core, which is Delta_W' for the support W' of the
-    core.  A core of one vertex is acyclic; any other is reduced on
-    Delta's own boundary columns inside W' (``restriction_dims``, handed
-    to ``dims_cached`` as its ``eliminate``), from positions built at the
-    first such miss.  The void complex is refused (its ideal
-    would be the unit ideal); the irrelevant complex works and yields
-    the Koszul table of the maximal ideal.  n is capped by
-    ``DEFAULT_SIZE_BOUND`` (the lattice of the irrelevant complex has
+    core.  A core of one vertex is acyclic; any other is eliminated once
+    per shape by ``homology.dims_over_field``.  The void complex is
+    refused (its ideal would be the unit ideal); the irrelevant complex
+    works and yields the Koszul table of the maximal ideal.  n is capped
+    by ``DEFAULT_SIZE_BOUND`` (the lattice of the irrelevant complex has
     2^n - 1 members).
     """
     if subject not in ("ideal", "ring"):
@@ -110,10 +109,9 @@ def hochster_betti(
 
     ideal: dict[tuple[int, int], int] = {}
     facet_masks = c.facet_masks
-    restricted = restriction_dims(facet_masks, field)
     for w in lattice:
         j = w.bit_count()
-        dims = dims_cached([f & w for f in facet_masks], field, restricted)
+        dims = dims_cached([f & w for f in facet_masks], field)
         for off, value in enumerate(dims):  # off = degree + 1; i >= 0 when value
             if value:
                 key = (j - off - 1, j)

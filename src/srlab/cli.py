@@ -185,7 +185,7 @@ def _cmd_check(args) -> int:
 def _cmd_graph(args) -> int:
     g = parse_graph(_read(args.file))
     if args.gcmd == "cycles":
-        rep = induced_cycles(g, args.max_len or max(4, g.n))
+        rep = induced_cycles(g, max(4, g.n) if args.max_len is None else args.max_len)
         if args.json:
             print(_jdump({"schema": SCHEMA, "searched_max_length": rep.searched_max_length,
                           "cycles": [list(c) for c in rep.cycles]}))

@@ -17,23 +17,19 @@ time is shrunk by strong collapses first (``_strong_core``): a vertex
 all of whose facets hold one other vertex is deleted, which keeps the
 homotopy type (Barmak-Minian).  A core of one vertex is acyclic over
 every field, so its dims are written down without eliminating, and a
-cone is the one-step case; ``dims_over_field`` always eliminates.  Any
-other core is eliminated once per canonical shape.  ``restriction_dims``
-eliminates the restrictions of one complex on that complex's own
-boundary columns, so a Betti table builds one face set, not one per
-shape; since a core is the restriction to its own vertices, it serves
-collapsed restrictions too.  It keeps the positions of each face's faces
-one smaller and builds one size's columns at a time.
+cone is the one-step case.  Any other core is eliminated once per
+canonical shape, by ``dims_over_field`` on its compressed facets: the one
+elimination under the cache, for links, restrictions and whole complexes
+alike.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd
 
-from ._bits import antichain, bits_of, compress_masks, faces_by_size_from_masks
+from ._bits import antichain, compress_masks, faces_by_size_from_masks
 from .complexes import Complex
 
 
@@ -282,31 +278,6 @@ def _signed_boundary_rows(lower: list[int], upper: list[int]) -> list[list[int]]
     return rows
 
 
-def _bits_at(positions) -> int:
-    """The GF(2) column with ones at ``positions``."""
-    col = 0
-    for i in positions:
-        col |= 1 << i
-    return col
-
-
-def _signs_at(positions) -> dict[int, int]:
-    """The signed column of a face whose faces one smaller, lowest vertex
-    dropped first, sit at ``positions``."""
-    return {i: -1 if k & 1 else 1 for k, i in enumerate(positions)}
-
-
-def _kernel(field: FieldSpec):
-    """What ``clearing_dims`` uses over ``field``: the column builder over
-    two face groups, the column of a face from the positions of its
-    faces one smaller, and the leading-row kernel.  Columns are bitsets
-    over GF(2) and signed integer dicts otherwise."""
-    p = field.key
-    if p == 2:
-        return _bit_columns, _bits_at, pivot_rows_gf2
-    return _signed_columns, _signs_at, lambda cols: _pivot_rows_exact(cols, p)
-
-
 def dims_over_field(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, ...]:
     """Reduced homology dims over a FieldSpec, indexed from degree -1.
 
@@ -315,44 +286,13 @@ def dims_over_field(facets: tuple[int, ...], field: FieldSpec) -> tuple[int, ...
     Q (key 0) hand signed integer-dict columns to ``_pivot_rows_exact``.
     """
     groups = faces_by_size_from_masks(facets)
-    build, _, pivot_rows = _kernel(field)
+    p = field.key
+    if p == 2:
+        build, pivot_rows = _bit_columns, pivot_rows_gf2
+    else:
+        build, pivot_rows = _signed_columns, lambda cols: _pivot_rows_exact(cols, p)
     return clearing_dims([len(g) for g in groups],
                          lambda s, cleared: build(groups[s - 1], groups[s], cleared), pivot_rows)
-
-
-def restriction_dims(facets: tuple[int, ...], field: FieldSpec):
-    """A function of a vertex mask w: the reduced homology dims over a
-    FieldSpec of the complex generated by ``facets`` restricted to w,
-    indexed from degree -1.
-
-    The faces of the whole complex are built once, at the first call,
-    and with them, per size s, one flat array of the positions of each
-    face's s faces one smaller, lowest vertex dropped first.  Each call
-    turns the positions of the faces inside w that clearing leaves into
-    columns in the whole complex's numbering: the faces of a face inside
-    w lie inside w, so those are the boundary maps of the restriction,
-    and no face closure is rebuilt.  Positions, not columns, are kept
-    (a GF(2) column is a bitset as long as the group below it), so a
-    large complex holds one size's columns at a time, as in
-    ``dims_over_field``.
-    """
-    _, column, pivot_rows = _kernel(field)
-    groups: list[list[int]] = []
-    below: list[array] = []
-
-    def dims(w: int) -> tuple[int, ...]:
-        if not groups:
-            groups.extend(faces_by_size_from_masks(facets))
-            below.extend([array('l'), array('l')])
-            for lower, upper in zip(groups[1:], groups[2:]):
-                idx = {f: i for i, f in enumerate(lower)}
-                below.append(array('l', [idx[f ^ b] for f in upper for b in bits_of(f)]))
-        inside = [[i for i, f in enumerate(g) if f & w == f] for g in groups]
-        return clearing_dims([len(x) for x in inside],
-                             lambda s, cleared: [column(below[s][i * s:i * s + s])
-                                                 for i in inside[s] if not cleared >> i & 1],
-                             pivot_rows)
-    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +370,7 @@ def _strong_core(family: tuple[int, ...]) -> tuple[int, ...]:
     return (1 << f.bit_length() - 1,) if f else core
 
 
-def dims_cached(facets, field: FieldSpec, eliminate=None) -> tuple[int, ...]:
+def dims_cached(facets, field: FieldSpec) -> tuple[int, ...]:
     """Homology dims of the complex generated by a family of masks, memoized.
 
     The family may hold 0, duplicates and nested members.  It is looked
@@ -442,14 +382,10 @@ def dims_cached(facets, field: FieldSpec, eliminate=None) -> tuple[int, ...]:
     ``_strong_core``.  A core of one vertex (a cone's, for one) is
     acyclic: its dims are all 0, up to the family's length, and are
     stored under the labelled key alone.  Any other core is eliminated
-    once per canonical key of its own: by ``eliminate(support)`` when the
-    caller passes one, with support the mask of the core's vertices
-    (``hochster_betti`` hands over the reduction of its complex's own
-    columns inside a vertex set, and a core is its restriction to the
-    support), else by ``dims_over_field`` on the compressed core.  The
-    core's dims are padded with zeros to the family's length, which
-    ``criteria.link_profile`` reads as the dimension, and stored under
-    the family's canonical key too.  A canonical family's two keys
+    once per canonical key of its own, by ``dims_over_field`` on the
+    compressed core.  The core's dims are padded with zeros to the
+    family's length, which ``criteria.link_profile`` reads as the
+    dimension, and stored under the family's canonical key too.  A canonical family's two keys
     coincide, so it is stored once, in ``_CACHE``; the other families go
     to ``_LABELLED``, which is emptied when it reaches
     ``_LABELLED_LIMIT`` entries, so that a long session keeps storing
@@ -473,10 +409,7 @@ def dims_cached(facets, field: FieldSpec, eliminate=None) -> tuple[int, ...]:
             core_key = ckey if core == top else (field.key, compress_masks(core)[0])
             dims = _CACHE.get(core_key)
             if dims is None:
-                support = 0
-                for f in core:
-                    support |= f
-                dims = eliminate(support) if eliminate else dims_over_field(core_key[1], field)
+                dims = dims_over_field(core_key[1], field)
                 if len(_CACHE) < _CACHE_LIMIT:
                     _CACHE[core_key] = dims
             if core_key is not ckey:

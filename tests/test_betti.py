@@ -276,9 +276,8 @@ def _cross_polytope(k: int) -> Complex:
 
 
 class TestLatticeWalk:
-    """Hochster's sum over the unions of minimal nonfaces, each restriction
-    reduced on the complex's own columns, against the sum over every W
-    eliminated on its own, uncached."""
+    """Hochster's sum over the unions of minimal nonfaces against the sum
+    over every W eliminated on its own, uncached."""
 
     def test_square_needs_both_generators(self, c4):
         # W = {1,2,3,4} is the union of the two diagonals and carries beta_{1,4}

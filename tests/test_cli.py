@@ -61,6 +61,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "verify", "not-a-theorem")
         assert code == 2 and "unknown theorem id" in err
 
+    @pytest.mark.parametrize("max_len", ["0", "3"])
+    def test_cycle_bound_below_four_is_two(self, files, capsys, max_len):
+        # 0 is a bound like any other, not "unset"
+        code, out, err = run(capsys, "graph", "cycles", files["C5.graph"], "--max-len", max_len)
+        assert code == 2 and out == "" and "max_len must be >= 4" in err
+
     def test_usage_error_exits_two(self, files):
         with pytest.raises(SystemExit) as exc:
             main(["check", files["C4"]])  # no predicate flag

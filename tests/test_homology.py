@@ -19,7 +19,7 @@ from srlab import (
     hochster_betti,
     reduced_homology,
 )
-from srlab import _engine, betti, homology
+from srlab import _engine, homology
 from srlab._bits import antichain
 from srlab.homology import (
     _LABELLED_LIMIT,
@@ -483,13 +483,13 @@ class TestStrongCollapse:
         # three fields: reducing every restriction that misses the cache took
         # 4,812 calls before the collapse; the cores take 570
         calls = []
-        restriction_dims = homology.restriction_dims
+        dims_over_field = homology.dims_over_field
 
         def counted(*args):
-            dims = restriction_dims(*args)
-            return lambda w: calls.append(w) or dims(w)
+            calls.append(args)
+            return dims_over_field(*args)
 
-        monkeypatch.setattr(betti, "restriction_dims", counted)
+        monkeypatch.setattr(homology, "dims_over_field", counted)
         rng = random.Random(22)
         complexes = []
         for _ in range(60):

@@ -57,10 +57,14 @@ MUTATIONS = [
      "for g in sorted(_minimal_nonface_masks(c)):",
      "for g in sorted(_minimal_nonface_masks(c))[:-1]:",
      "tests/test_betti.py::TestLatticeWalk::test_square_needs_both_generators"),
-    ("restriction-keeps-faces-outside-w", "homology.py",
-     "if f & w == f]",
-     "if f & w != f]",
+    ("restriction-keeps-faces-outside-w", "betti.py",
+     "[f & w for f in facet_masks]",
+     "[f & ~w for f in facet_masks]",
      "tests/test_betti.py::TestLatticeWalk::test_seeded[6-GF(2)]"),
+    ("core-eliminated-over-gf2", "homology.py",
+     "dims_over_field(core_key[1], field)",
+     "dims_over_field(core_key[1], GF2)",
+     "tests/test_betti.py::TestLatticeWalk::test_moore_space[GF(3)]"),
     ("collapse-drops-both-twins", "homology.py",
      "if others > u:",
      "if others:",
